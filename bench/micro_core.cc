@@ -50,7 +50,7 @@ void BM_KnapsackDp(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_KnapsackDp)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_KnapsackDp)->Arg(8)->Arg(12)->Arg(32)->Arg(128);
 
 void BM_ClusterAssign(benchmark::State& state) {
   static Catalog* catalog = new Catalog(MakeTpchCatalog());

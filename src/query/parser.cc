@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <vector>
 
@@ -236,7 +237,12 @@ class ParserImpl {
 
   Result<int64_t> ExpectInt() {
     if (Peek().kind != TokenKind::kInt) return UnexpectedToken("integer");
+    errno = 0;
     const int64_t value = std::strtoll(Peek().text.c_str(), nullptr, 10);
+    if (errno == ERANGE) {
+      return Status::InvalidArgument("integer literal '" + Peek().text +
+                                     "' is out of range");
+    }
     Advance();
     return value;
   }
@@ -312,12 +318,18 @@ class ParserImpl {
     if (op == "=") {
       pred.lo = pred.hi = value;
     } else if (op == "<") {
+      if (value == INT64_MIN) {
+        return Status::InvalidArgument("empty '<' range");
+      }
       pred.lo = INT64_MIN;
       pred.hi = value - 1;
     } else if (op == "<=") {
       pred.lo = INT64_MIN;
       pred.hi = value;
     } else if (op == ">") {
+      if (value == INT64_MAX) {
+        return Status::InvalidArgument("empty '>' range");
+      }
       pred.lo = value + 1;
       pred.hi = INT64_MAX;
     } else {  // >=

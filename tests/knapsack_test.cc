@@ -1,10 +1,14 @@
 #include "core/knapsack.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "common/rng.h"
 
 namespace colt {
@@ -114,6 +118,186 @@ TEST(Knapsack, DiscretizationNeverOverflowsCapacity) {
     EXPECT_LE(s.total_size, capacity);
   }
 }
+
+/// Reference: the dense discretized DP, one cell per capacity unit per item,
+/// whose decisions SolveKnapsack's breakpoint lists must match bit for bit.
+KnapsackSolution DenseKnapsack(const std::vector<KnapsackItem>& items,
+                               int64_t capacity, int max_buckets) {
+  KnapsackSolution solution;
+  if (capacity < 0) capacity = 0;
+
+  // Partition: always-take (zero size, positive value), DP-eligible.
+  std::vector<KnapsackItem> eligible;
+  for (const auto& item : items) {
+    if (item.value <= 0.0) continue;
+    if (item.size <= 0) {
+      solution.chosen_ids.push_back(item.id);
+      solution.total_value += item.value;
+      continue;
+    }
+    if (item.size <= capacity) eligible.push_back(item);
+  }
+  if (eligible.empty() || capacity == 0) return solution;
+
+  // Discretize sizes, rounding *up* so the solution never overflows the
+  // true capacity.
+  const int64_t bucket =
+      std::max<int64_t>(1, (capacity + max_buckets - 1) / max_buckets);
+  const int64_t cap_units = capacity / bucket;
+  auto units = [bucket](int64_t size) { return (size + bucket - 1) / bucket; };
+
+  const size_t n = eligible.size();
+  // dp[c] = best value using a prefix of items with total unit-size <= c.
+  std::vector<double> dp(cap_units + 1, 0.0);
+  // keep[i] = bitset over capacities where item i is taken.
+  std::vector<std::vector<bool>> keep(n,
+                                      std::vector<bool>(cap_units + 1, false));
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t s = units(eligible[i].size);
+    const double v = eligible[i].value;
+    for (int64_t c = cap_units; c >= s; --c) {
+      const double candidate = dp[c - s] + v;
+      if (candidate > dp[c]) {
+        dp[c] = candidate;
+        keep[i][c] = true;
+      }
+    }
+  }
+  // Trace back.
+  int64_t c = cap_units;
+  for (size_t i = n; i-- > 0;) {
+    if (c >= 0 && keep[i][c]) {
+      solution.chosen_ids.push_back(eligible[i].id);
+      solution.total_value += eligible[i].value;
+      solution.total_size += eligible[i].size;
+      c -= units(eligible[i].size);
+    }
+  }
+  std::sort(solution.chosen_ids.begin(), solution.chosen_ids.end());
+  COLT_CHECK(solution.total_size <= capacity)
+      << "knapsack overflow: " << solution.total_size << " > " << capacity;
+  return solution;
+}
+
+/// Value families that stress the floating-point side of the contract.
+enum class ValueShape {
+  kOrdinary,    // spread-out doubles, some non-positive
+  kTies,        // small integers, so many subsets tie exactly
+  kAbsorption,  // 1e18 beside 1e-3 and 1.0: fl(D + v) == D
+  kOverflow,    // around 1e300 and DBL_MAX, so sums reach inf; inf and NaN
+};
+
+double RandomValue(Rng* rng, ValueShape shape) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  switch (shape) {
+    case ValueShape::kOrdinary:
+      return rng->NextDouble() * 1000.0 - 100.0;
+    case ValueShape::kTies:
+      return static_cast<double>(rng->NextInRange(-1, 4));
+    case ValueShape::kAbsorption: {
+      const double kValues[] = {1e18, 1e18, 1e-3, 1.0, 1e16, 3e18};
+      return kValues[rng->NextBelow(6)];
+    }
+    case ValueShape::kOverflow: {
+      switch (rng->NextBelow(10)) {
+        case 0:
+          return std::numeric_limits<double>::infinity();
+        case 1:
+          return std::numeric_limits<double>::quiet_NaN();
+        case 2:
+          return kMax;
+        case 3:
+        case 4:
+        case 5:
+          return kMax * (0.3 + 0.7 * rng->NextDouble());
+        default:
+          return 1e300 * (1.0 + rng->NextDouble());
+      }
+    }
+  }
+  return 0.0;
+}
+
+/// A size that lands in one of the discretization's edge classes for this
+/// capacity and bucket count.
+int64_t RandomSize(Rng* rng, int64_t capacity, int max_buckets) {
+  const int64_t cap = std::max<int64_t>(capacity, 1);
+  const int64_t bucket =
+      std::max<int64_t>(1, (cap + max_buckets - 1) / max_buckets);
+  const int64_t cap_units = cap / bucket;
+  const uint64_t kind = rng->NextBelow(20);
+  if (kind == 0) return -static_cast<int64_t>(rng->NextBelow(3));  // <= 0
+  if (kind == 1) {  // larger than the capacity
+    return cap + 1 + static_cast<int64_t>(rng->NextBelow(
+                         static_cast<uint64_t>(4 * bucket)));
+  }
+  if (kind == 2) return cap;  // units > cap_units unless bucket divides cap
+  if (kind < 9) {             // an exact multiple of the bucket
+    return bucket * rng->NextInRange(1, std::max<int64_t>(cap_units, 1));
+  }
+  // Small relative to the capacity, so the stage lists saturate.
+  const int64_t limit = std::max<int64_t>(1, cap >> rng->NextBelow(8));
+  return rng->NextInRange(1, limit);
+}
+
+class KnapsackDenseOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KnapsackDenseOracleTest, SparseDpMatchesDenseBitForBit) {
+  const int max_buckets = GetParam();
+  // Keep the dense oracle's n x 65,537-cell table affordable.
+  const int max_n = max_buckets > 4096 ? 16 : 64;
+  const int cases = max_buckets > 4096 ? 40 : max_buckets > 64 ? 150 : 300;
+  Rng rng(0x6b6e6170ULL + static_cast<uint64_t>(max_buckets));
+  for (int trial = 0; trial < cases; ++trial) {
+    const int n = static_cast<int>(rng.NextBelow(max_n + 1));
+    int64_t capacity;
+    switch (rng.NextBelow(8)) {
+      case 0:
+        capacity = 0;
+        break;
+      case 1:
+        capacity = -rng.NextInRange(1, 1000);
+        break;
+      case 2:
+        capacity = rng.NextInRange(1, 64);
+        break;
+      case 3:
+      case 4:
+        capacity = rng.NextInRange(1, int64_t{1} << 20);
+        break;
+      default:
+        capacity = rng.NextInRange(1, int64_t{1} << 40);
+        break;
+    }
+    const auto shape = static_cast<ValueShape>(rng.NextBelow(4));
+    std::vector<KnapsackItem> items;
+    for (int i = 0; i < n; ++i) {
+      items.push_back({i, RandomSize(&rng, capacity, max_buckets),
+                       RandomValue(&rng, shape)});
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": n=" +
+                 std::to_string(n) + " capacity=" + std::to_string(capacity) +
+                 " shape=" + std::to_string(static_cast<int>(shape)));
+    const KnapsackSolution sparse = SolveKnapsack(items, capacity, max_buckets);
+    const KnapsackSolution dense = DenseKnapsack(items, capacity, max_buckets);
+    ASSERT_EQ(sparse.chosen_ids, dense.chosen_ids);
+    ASSERT_EQ(sparse.total_size, dense.total_size);
+    ASSERT_EQ(std::memcmp(&sparse.total_value, &dense.total_value,
+                          sizeof(double)),
+              0)
+        << sparse.total_value << " vs " << dense.total_value;
+  }
+}
+
+std::vector<int> OracleBucketCounts() {
+  std::vector<int> counts;
+  for (int b = 1; b <= 64; ++b) counts.push_back(b);
+  for (int b : {256, 4096, 1 << 16}) counts.push_back(b);
+  return counts;
+}
+
+INSTANTIATE_TEST_SUITE_P(Buckets, KnapsackDenseOracleTest,
+                         ::testing::ValuesIn(OracleBucketCounts()));
 
 TEST(KnapsackGreedy, NeverBeatsOptimal) {
   Rng rng(31);

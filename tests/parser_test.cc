@@ -1,5 +1,8 @@
 #include "query/parser.h"
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -225,6 +228,51 @@ TEST_F(ParserTest, EmptyBetweenRange) {
   auto q = parser_.Parse(
       "SELECT COUNT(*) FROM big WHERE big.b_key BETWEEN 9 AND 3");
   EXPECT_FALSE(q.ok());
+}
+
+TEST_F(ParserTest, StrictBoundPastInt64IsEmptyRange) {
+  // `< INT64_MIN` and `> INT64_MAX` select nothing. Turning them into
+  // closed bounds by computing value - 1 / value + 1 overflowed, and the
+  // wrapped predicate matched the whole table.
+  for (const char* cond : {"< -9223372036854775808",
+                           "> 9223372036854775807"}) {
+    auto q = parser_.Parse(
+        std::string("SELECT COUNT(*) FROM big WHERE big.b_key ") + cond);
+    ASSERT_FALSE(q.ok()) << cond;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << cond;
+    EXPECT_NE(q.status().message().find("empty"), std::string::npos) << cond;
+  }
+  // One step inside the extremes, the strict bounds are still valid.
+  auto below = parser_.Parse(
+      "SELECT COUNT(*) FROM big WHERE big.b_key < -9223372036854775807");
+  ASSERT_TRUE(below.ok());
+  EXPECT_EQ(below->selections()[0].lo, INT64_MIN);
+  EXPECT_EQ(below->selections()[0].hi, INT64_MIN);
+  auto above = parser_.Parse(
+      "SELECT COUNT(*) FROM big WHERE big.b_key > 9223372036854775806");
+  ASSERT_TRUE(above.ok());
+  EXPECT_EQ(above->selections()[0].lo, INT64_MAX);
+  EXPECT_EQ(above->selections()[0].hi, INT64_MAX);
+}
+
+TEST_F(ParserTest, OutOfRangeIntegerLiteralRejected) {
+  // strtoll saturates out-of-range literals to INT64_MAX/INT64_MIN; the
+  // parser must reject them rather than silently change the predicate.
+  for (const char* cond : {"= 99999999999999999999999",
+                           "= 9223372036854775808",
+                           ">= -9223372036854775809",
+                           "BETWEEN 1 AND 99999999999999999999999"}) {
+    auto q = parser_.Parse(
+        std::string("SELECT COUNT(*) FROM big WHERE big.b_key ") + cond);
+    ASSERT_FALSE(q.ok()) << cond;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << cond;
+    EXPECT_NE(q.status().message().find("out of range"), std::string::npos)
+        << cond;
+  }
+  auto at_max = parser_.Parse(
+      "SELECT COUNT(*) FROM big WHERE big.b_key = 9223372036854775807");
+  ASSERT_TRUE(at_max.ok());
+  EXPECT_EQ(at_max->selections()[0].lo, INT64_MAX);
 }
 
 TEST_F(ParserTest, TrailingGarbage) {
