@@ -70,6 +70,29 @@ void BM_ExecIndexScan(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecIndexScan);
 
+void BM_ExecBitmapScan(benchmark::State& state) {
+  Fixture& f = GetFixture();
+  QueryOptimizer optimizer(&f.db.catalog());
+  Executor executor(&f.db);
+  // Mid selectivity (the BM_ExecSeqScan range): index TIDs, sorted, then
+  // one heap visit per distinct page.
+  Query q({f.li}, {},
+          {SelectionPredicate{{f.li, f.shipdate}, 100, 160}});
+  IndexConfiguration config;
+  config.Add(f.index_id);
+  const PlanResult plan = optimizer.Optimize(q, config);
+  if (plan.plan->type != PlanNodeType::kBitmapScan) {
+    state.SkipWithError("optimizer did not choose a bitmap scan");
+    return;
+  }
+  for (auto _ : state) {
+    auto result = executor.Execute(*plan.plan);
+    benchmark::DoNotOptimize(result->output_rows);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ExecBitmapScan);
+
 void BM_ExecHashJoin(benchmark::State& state) {
   Fixture& f = GetFixture();
   QueryOptimizer optimizer(&f.db.catalog());

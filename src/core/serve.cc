@@ -56,6 +56,11 @@ ServeResult ServeWorkload(Database* db, QueryOptimizer* optimizer,
                           ColtTuner* tuner, const std::vector<Query>& trace,
                           const ServeOptions& options) {
   COLT_CHECK(options.client_threads >= 1) << "serving needs >= 1 client";
+  const auto first_write = std::find_if(
+      trace.begin(), trace.end(), [](const Query& q) { return q.is_write(); });
+  COLT_CHECK(first_write == trace.end())
+      << "serving takes read-only traces; the statement at trace index "
+      << (first_write - trace.begin()) << " is a write";
   const int clients = options.client_threads;
   ThreadPool pool(clients, options.pin_threads);
 

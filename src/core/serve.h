@@ -43,6 +43,12 @@ namespace colt {
 /// ServedQuery stream, the tuner's decisions, and the epoch reports are
 /// bit-identical at any client count (pinned by the serving differential
 /// test).
+///
+/// Traces are read-only until the serve loop learns to fence writes
+/// (ROADMAP.md, "A barrier-free serve loop that also takes writes"): an
+/// INSERT has no plan for a client to run, and the owner's in-place
+/// UPDATE/DELETE would race the clients' scans of the same table data. A
+/// trace holding any write aborts before a client thread starts.
 struct ServeOptions {
   /// Number of serving client threads (>= 1).
   int client_threads = 4;
@@ -119,8 +125,9 @@ struct ServeEpochContext {
 COLT_WORKER_SAFE std::vector<ServedQuery> ServeClientEpoch(
     const ServeEpochContext& ctx, int client);
 
-/// Serves `trace` with `options.client_threads` concurrent clients while
-/// `tuner` (optional) tunes on the calling thread, as described above.
+/// Serves the read-only `trace` with `options.client_threads` concurrent
+/// clients while `tuner` (optional) tunes on the calling thread, as
+/// described above.
 /// With a null tuner the configuration is frozen to the database's
 /// currently built indexes and the whole trace is served as one epoch.
 /// `db`, `optimizer`, and `tuner` must share the same catalog; every

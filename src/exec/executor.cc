@@ -5,8 +5,9 @@
 // the indexed lookup is not a dynamic name.
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
+#include <span>
+#include <utility>
 
 #include "common/epoch.h"
 
@@ -21,11 +22,194 @@ int64_t TuplesPerPage(const TableSchema& schema) {
   return std::max<int64_t>(1, per_page);
 }
 
+/// `lo <= v <= hi` as one unsigned compare: once lo <= hi, v - lo wraps
+/// past hi - lo in uint64 arithmetic exactly when v is out of range, at
+/// any int64 bounds. Callers treat lo > hi (an empty range) themselves.
+class RangeTest {
+ public:
+  explicit RangeTest(const SelectionPredicate& pred)
+      : lo_(static_cast<uint64_t>(pred.lo)),
+        width_(static_cast<uint64_t>(pred.hi) - lo_) {}
+
+  bool operator()(int64_t value) const {
+    return static_cast<uint64_t>(value) - lo_ <= width_;
+  }
+
+ private:
+  uint64_t lo_;
+  uint64_t width_;
+};
+
+/// Keeps the rows of `sel` that pass every predicate, in order, filtering
+/// the selection vector one predicate at a time over the column arrays.
+void FilterRows(const TableData& data,
+                std::span<const SelectionPredicate> preds,
+                std::vector<RowId>* sel) {
+  for (const SelectionPredicate& pred : preds) {
+    if (pred.lo > pred.hi) {
+      sel->clear();
+      return;
+    }
+    const RangeTest in_range(pred);
+    const int64_t* values = data.column(pred.column.column).data();
+    size_t kept = 0;
+    for (const RowId r : *sel) {
+      if (in_range(values[r])) (*sel)[kept++] = r;
+    }
+    sel->resize(kept);
+  }
+}
+
+/// One relation's values of a join column: tuple i's is values[rows[i]].
+struct KeyColumn {
+  const int64_t* values = nullptr;
+  const RowId* rows = nullptr;
+
+  int64_t at(int64_t i) const { return values[rows[i]]; }
+};
+
+/// Open-addressing multimap from join key to build-side tuple index,
+/// probed linearly at a load factor of at most 1/2. Each key's tuples
+/// chain through next() in build order; `count` serves a counting probe.
+class JoinHashTable {
+ public:
+  struct Slot {
+    int64_t key = 0;
+    /// First build tuple of the chain; -1 marks an empty slot.
+    int64_t head = -1;
+    int64_t count = 0;
+  };
+
+  JoinHashTable(const KeyColumn& keys, int64_t n)
+      : next_(static_cast<size_t>(n)) {
+    int bits = 4;
+    while ((int64_t{1} << bits) < 2 * n) ++bits;
+    shift_ = 64 - bits;
+    mask_ = (size_t{1} << bits) - 1;
+    slots_.resize(mask_ + 1);
+    // Inserting in reverse and prepending leaves each chain in build order.
+    for (int64_t i = n - 1; i >= 0; --i) {
+      const int64_t key = keys.at(i);
+      size_t s = Home(key);
+      while (slots_[s].head >= 0 && slots_[s].key != key) s = (s + 1) & mask_;
+      Slot& slot = slots_[s];
+      slot.key = key;
+      next_[static_cast<size_t>(i)] = slot.head;
+      slot.head = i;
+      ++slot.count;
+    }
+  }
+
+  /// The slot holding `key`, or null when no build tuple has it.
+  const Slot* Find(int64_t key) const {
+    for (size_t s = Home(key);; s = (s + 1) & mask_) {
+      const Slot& slot = slots_[s];
+      if (slot.head < 0) return nullptr;
+      if (slot.key == key) return &slot;
+    }
+  }
+
+  /// The build tuple after `tuple` in its chain, or -1.
+  int64_t next(int64_t tuple) const {
+    return next_[static_cast<size_t>(tuple)];
+  }
+
+ private:
+  size_t Home(int64_t key) const {
+    // Fibonacci hashing: the top bits of key * 2^64/phi.
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<int64_t> next_;
+  int shift_ = 60;
+  size_t mask_ = 15;
+};
+
 }  // namespace
+
+/// `rows[k][i]` is the row of `tables[k]` bound in tuple i. Columns keep
+/// binding order (a join lists its probe/outer columns before its
+/// build/inner ones), and lookups by table read the first column bound to
+/// it. A counting root reports `size` and leaves `rows` empty.
+struct Executor::Relation {
+  std::vector<TableId> tables;
+  std::vector<std::vector<RowId>> rows;
+  int64_t size = 0;
+
+  /// A one-table relation over `rows`.
+  static Relation Of(TableId table, std::vector<RowId> rows) {
+    Relation out;
+    out.tables = {table};
+    out.size = static_cast<int64_t>(rows.size());
+    out.rows.push_back(std::move(rows));
+    return out;
+  }
+
+  /// An empty relation binding `first`'s tables, then `second`'s.
+  static Relation Concat(const std::vector<TableId>& first,
+                         const std::vector<TableId>& second) {
+    Relation out;
+    out.tables = first;
+    out.tables.insert(out.tables.end(), second.begin(), second.end());
+    out.rows.resize(out.tables.size());
+    return out;
+  }
+
+  /// Index of the first column bound to `table`, or -1.
+  int ColumnOf(TableId table) const {
+    for (size_t k = 0; k < tables.size(); ++k) {
+      if (tables[k] == table) return static_cast<int>(k);
+    }
+    return -1;
+  }
+
+  /// Appends tuple `i` of `src` to the columns from `first` on (the caller
+  /// completes the tuple and bumps `size`).
+  void AppendFrom(const Relation& src, int64_t i, size_t first) {
+    for (size_t k = 0; k < src.rows.size(); ++k) {
+      rows[first + k].push_back(src.rows[k][static_cast<size_t>(i)]);
+    }
+  }
+};
+
+/// Records one operator's exclusive time: the wall time of its scope minus
+/// the inclusive time of the operators nested in it, each of which charges
+/// its own inclusive time to this one on exit.
+class Executor::OperatorTimer {
+ public:
+  OperatorTimer(Executor* executor, Histogram* hist)
+      : executor_(executor), parent_(executor->running_op_) {
+    executor_->running_op_ = this;
+    if (kMetricsCompiledIn && executor_->registry_->enabled()) {
+      hist_ = hist;
+      start_ = WallTimer::Now();
+    }
+  }
+  OperatorTimer(const OperatorTimer&) = delete;
+  OperatorTimer& operator=(const OperatorTimer&) = delete;
+
+  ~OperatorTimer() {
+    executor_->running_op_ = parent_;
+    if (hist_ == nullptr) return;
+    const double elapsed = WallTimer::Now() - start_;
+    hist_->Record(elapsed - children_seconds_);
+    if (parent_ != nullptr) parent_->children_seconds_ += elapsed;
+  }
+
+ private:
+  Executor* executor_;
+  OperatorTimer* parent_;
+  Histogram* hist_ = nullptr;  // null = not timing
+  double start_ = 0.0;
+  double children_seconds_ = 0.0;
+};
 
 Executor::Executor(const Database* db, MetricsRegistry* registry) : db_(db) {
   MetricsRegistry& reg =
       registry != nullptr ? *registry : MetricsRegistry::Default();
+  registry_ = &reg;
   static constexpr const char* kOpNames[kNumOperators] = {
       "exec.seq_scan.seconds",      "exec.index_scan.seconds",
       "exec.bitmap_scan.seconds",   "exec.nest_loop_join.seconds",
@@ -39,201 +223,212 @@ Executor::Executor(const Database* db, MetricsRegistry* registry) : db_(db) {
 }
 
 int64_t Executor::DistinctHeapPages(TableId table,
-                                    const std::vector<RowId>& rows) const {
+                                    const std::vector<RowId>& rows) {
   const int64_t per_page = TuplesPerPage(db_->catalog().table(table));
-  std::unordered_set<int64_t> pages;
-  pages.reserve(rows.size());
-  for (RowId r : rows) pages.insert(r / per_page);
-  return static_cast<int64_t>(pages.size());
+  const std::vector<RowId>* sorted = &rows;
+  if (!std::is_sorted(rows.begin(), rows.end())) {
+    page_scratch_.assign(rows.begin(), rows.end());
+    std::sort(page_scratch_.begin(), page_scratch_.end());
+    sorted = &page_scratch_;
+  }
+  // Sorted rows put each page's rows next to each other.
+  int64_t pages = 0;
+  int64_t last_page = -1;
+  for (const RowId r : *sorted) {
+    const int64_t page = r / per_page;
+    if (page != last_page) {
+      ++pages;
+      last_page = page;
+    }
+  }
+  return pages;
 }
 
-Result<std::vector<Executor::BoundRow>> Executor::Run(const PlanNode& node,
-                                                      ExecutionResult* acc) {
+std::vector<RowId> Executor::ScanTable(
+    TableId table, const std::vector<SelectionPredicate>& preds,
+    ExecutionResult* acc) const {
+  const TableData& data = db_->data(table);
+  acc->pages_seq += db_->catalog().table(table).heap_pages();
+  acc->tuples_processed += data.live_row_count();
+  std::vector<RowId> rows;
+  const int64_t n = data.row_count();
+  if (preds.empty()) {
+    rows.reserve(static_cast<size_t>(data.live_row_count()));
+    for (RowId r = 0; r < n; ++r) {
+      if (data.live(r)) rows.push_back(r);
+    }
+    return rows;
+  }
+  // The first predicate sweeps its column array; liveness is checked only
+  // on a match, since most rows fail the range test.
+  const SelectionPredicate& first = preds.front();
+  if (first.lo > first.hi) return rows;
+  const RangeTest in_range(first);
+  const int64_t* values = data.column(first.column.column).data();
+  for (RowId r = 0; r < n; ++r) {
+    if (in_range(values[r]) && data.live(r)) rows.push_back(r);
+  }
+  FilterRows(data, std::span(preds).subspan(1), &rows);
+  return rows;
+}
+
+Result<Executor::Relation> Executor::Run(const PlanNode& node,
+                                         bool count_only,
+                                         ExecutionResult* acc) {
   op_invocations_->Increment();
-  ScopedTimer op_timer(op_seconds_[static_cast<size_t>(node.type)]);
+  OperatorTimer op_timer(this, op_seconds_[static_cast<size_t>(node.type)]);
   switch (node.type) {
     case PlanNodeType::kSeqScan: {
       if (!db_->HasData(node.table)) {
         return Status::FailedPrecondition("table not materialized");
       }
-      const TableData& data = db_->data(node.table);
-      const TableSchema& schema = db_->catalog().table(node.table);
-      acc->pages_seq += schema.heap_pages();
-      std::vector<BoundRow> out;
-      for (RowId r = 0; r < data.row_count(); ++r) {
-        if (!data.live(r)) continue;  // tombstoned by a DELETE
-        ++acc->tuples_processed;
-        bool pass = true;
-        for (const auto& pred : node.filter_predicates) {
-          if (!pred.Matches(Value(node.table, pred.column.column, r))) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) out.push_back(BoundRow{{{node.table, r}}});
-      }
-      return out;
+      return Relation::Of(node.table,
+                          ScanTable(node.table, node.filter_predicates, acc));
     }
-    case PlanNodeType::kIndexScan: {
-      const BTreeIndex* resolved = snapshot_->Find(node.index_id);
-      if (resolved == nullptr) {
-        return Status::FailedPrecondition("index not built: " +
-                                          std::to_string(node.index_id));
-      }
-      const BTreeIndex& index = *resolved;
-      std::vector<RowId> matches;
-      const int64_t leaves =
-          index.RangeScan(node.index_predicate.lo, node.index_predicate.hi,
-                          &matches);
-      acc->pages_index += leaves + index.height();
-      acc->pages_random += DistinctHeapPages(node.table, matches);
-      std::vector<BoundRow> out;
-      for (RowId r : matches) {
-        ++acc->tuples_processed;
-        bool pass = true;
-        for (const auto& pred : node.filter_predicates) {
-          if (!pred.Matches(Value(node.table, pred.column.column, r))) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) out.push_back(BoundRow{{{node.table, r}}});
-      }
-      return out;
-    }
+    case PlanNodeType::kIndexScan:
     case PlanNodeType::kBitmapScan: {
-      const BTreeIndex* resolved = snapshot_->Find(node.index_id);
-      if (resolved == nullptr) {
+      const BTreeIndex* index = snapshot_->Find(node.index_id);
+      if (index == nullptr) {
         return Status::FailedPrecondition("index not built: " +
                                           std::to_string(node.index_id));
       }
-      const BTreeIndex& index = *resolved;
-      std::vector<RowId> matches;
-      const int64_t leaves =
-          index.RangeScan(node.index_predicate.lo, node.index_predicate.hi,
-                          &matches);
-      acc->pages_index += leaves + index.height();
-      // The bitmap step: visit the heap in physical order, each page once.
-      std::sort(matches.begin(), matches.end());
-      acc->pages_bitmap += DistinctHeapPages(node.table, matches);
-      std::vector<BoundRow> out;
-      for (RowId r : matches) {
-        ++acc->tuples_processed;
-        bool pass = true;
-        for (const auto& pred : node.filter_predicates) {
-          if (!pred.Matches(Value(node.table, pred.column.column, r))) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) out.push_back(BoundRow{{{node.table, r}}});
+      std::vector<RowId> rows;
+      const int64_t leaves = index->RangeScan(
+          node.index_predicate.lo, node.index_predicate.hi, &rows);
+      acc->pages_index += leaves + index->height();
+      if (node.type == PlanNodeType::kBitmapScan) {
+        // The bitmap step: visit the heap in physical order, each page
+        // once.
+        std::sort(rows.begin(), rows.end());
+        acc->pages_bitmap += DistinctHeapPages(node.table, rows);
+      } else {
+        acc->pages_random += DistinctHeapPages(node.table, rows);
       }
-      return out;
+      acc->tuples_processed += static_cast<int64_t>(rows.size());
+      if (!node.filter_predicates.empty()) {
+        FilterRows(db_->data(node.table), node.filter_predicates, &rows);
+      }
+      return Relation::Of(node.table, std::move(rows));
     }
     case PlanNodeType::kHashJoin: {
-      COLT_ASSIGN_OR_RETURN(std::vector<BoundRow> left, Run(*node.left, acc));
-      COLT_ASSIGN_OR_RETURN(std::vector<BoundRow> right,
-                            Run(*node.right, acc));
+      COLT_ASSIGN_OR_RETURN(Relation left, Run(*node.left, false, acc));
+      COLT_ASSIGN_OR_RETURN(Relation right, Run(*node.right, false, acc));
       // Build on the smaller side.
+      const bool build_left = left.size <= right.size;
+      const Relation& build = build_left ? left : right;
+      const Relation& probe = build_left ? right : left;
+      acc->tuples_processed += build.size + probe.size;
+      Relation out = Relation::Concat(probe.tables, build.tables);
+      if (build.size == 0 || probe.size == 0) return out;
+      // A side's key is the predicate's left column when the side binds
+      // that table, else its right column.
       const JoinPredicate& j = node.join_predicate;
-      const bool build_left = left.size() <= right.size();
-      std::vector<BoundRow>& build = build_left ? left : right;
-      std::vector<BoundRow>& probe = build_left ? right : left;
-      auto key_col = [&](const BoundRow& row, bool /*from_build*/) -> int64_t {
-        // Determine which side of the predicate binds in this row.
-        const RowId lr = row.RowFor(j.left.table);
-        if (lr >= 0) return Value(j.left.table, j.left.column, lr);
-        const RowId rr = row.RowFor(j.right.table);
-        return Value(j.right.table, j.right.column, rr);
+      auto keys_of = [&](const Relation& side) -> Result<KeyColumn> {
+        for (const ColumnRef& col : {j.left, j.right}) {
+          const int k = side.ColumnOf(col.table);
+          if (k >= 0) {
+            return KeyColumn{db_->data(col.table).column(col.column).data(),
+                             side.rows[static_cast<size_t>(k)].data()};
+          }
+        }
+        return Status::Internal("hash join input missing join binding");
       };
-      std::unordered_map<int64_t, std::vector<const BoundRow*>> table;
-      table.reserve(build.size());
-      for (const auto& row : build) {
-        ++acc->tuples_processed;
-        table[key_col(row, true)].push_back(&row);
+      COLT_ASSIGN_OR_RETURN(const KeyColumn build_keys, keys_of(build));
+      COLT_ASSIGN_OR_RETURN(const KeyColumn probe_keys, keys_of(probe));
+      const JoinHashTable table(build_keys, build.size);
+      if (count_only) {
+        for (int64_t i = 0; i < probe.size; ++i) {
+          const JoinHashTable::Slot* slot = table.Find(probe_keys.at(i));
+          if (slot != nullptr) out.size += slot->count;
+        }
+        return out;
       }
-      std::vector<BoundRow> out;
-      for (const auto& row : probe) {
-        ++acc->tuples_processed;
-        auto it = table.find(key_col(row, false));
-        if (it == table.end()) continue;
-        for (const BoundRow* b : it->second) {
-          BoundRow merged = row;
-          merged.bindings.insert(merged.bindings.end(), b->bindings.begin(),
-                                 b->bindings.end());
-          out.push_back(std::move(merged));
+      for (int64_t i = 0; i < probe.size; ++i) {
+        const JoinHashTable::Slot* slot = table.Find(probe_keys.at(i));
+        if (slot == nullptr) continue;
+        for (int64_t b = slot->head; b >= 0; b = table.next(b)) {
+          out.AppendFrom(probe, i, 0);
+          out.AppendFrom(build, b, probe.tables.size());
+          ++out.size;
         }
       }
       return out;
     }
     case PlanNodeType::kNestLoopJoin: {
-      COLT_ASSIGN_OR_RETURN(std::vector<BoundRow> outer, Run(*node.left, acc));
-      COLT_ASSIGN_OR_RETURN(std::vector<BoundRow> inner,
-                            Run(*node.right, acc));
-      const JoinPredicate& j = node.join_predicate;
-      std::vector<BoundRow> out;
-      for (const auto& o : outer) {
-        for (const auto& i : inner) {
-          ++acc->tuples_processed;
-          const BoundRow& left_holder =
-              o.RowFor(j.left.table) >= 0 ? o : i;
-          const BoundRow& right_holder =
-              o.RowFor(j.right.table) >= 0 ? o : i;
-          const RowId lr = left_holder.RowFor(j.left.table);
-          const RowId rr = right_holder.RowFor(j.right.table);
-          if (lr < 0 || rr < 0) continue;
-          if (Value(j.left.table, j.left.column, lr) !=
-              Value(j.right.table, j.right.column, rr)) {
+      COLT_ASSIGN_OR_RETURN(Relation outer, Run(*node.left, false, acc));
+      COLT_ASSIGN_OR_RETURN(Relation inner, Run(*node.right, false, acc));
+      acc->tuples_processed += outer.size * inner.size;
+      Relation out = Relation::Concat(outer.tables, inner.tables);
+      // Each side of the predicate reads the outer tuple when it binds
+      // that side's table, else the inner tuple; a side that neither binds
+      // never matches.
+      struct Side {
+        KeyColumn keys;
+        bool outer;
+      };
+      auto side_of = [&](const ColumnRef& col) -> std::optional<Side> {
+        for (const Relation* rel : {&outer, &inner}) {
+          const int k = rel->ColumnOf(col.table);
+          if (k >= 0) {
+            return Side{{db_->data(col.table).column(col.column).data(),
+                         rel->rows[static_cast<size_t>(k)].data()},
+                        rel == &outer};
+          }
+        }
+        return std::nullopt;
+      };
+      const std::optional<Side> l = side_of(node.join_predicate.left);
+      const std::optional<Side> r = side_of(node.join_predicate.right);
+      if (!l.has_value() || !r.has_value()) return out;
+      for (int64_t o = 0; o < outer.size; ++o) {
+        for (int64_t i = 0; i < inner.size; ++i) {
+          if (l->keys.at(l->outer ? o : i) != r->keys.at(r->outer ? o : i)) {
             continue;
           }
-          BoundRow merged = o;
-          merged.bindings.insert(merged.bindings.end(), i.bindings.begin(),
-                                 i.bindings.end());
-          out.push_back(std::move(merged));
+          out.AppendFrom(outer, o, 0);
+          out.AppendFrom(inner, i, outer.tables.size());
+          ++out.size;
         }
       }
       return out;
     }
     case PlanNodeType::kIndexNLJoin: {
-      COLT_ASSIGN_OR_RETURN(std::vector<BoundRow> outer, Run(*node.left, acc));
-      const BTreeIndex* resolved = snapshot_->Find(node.index_id);
-      if (resolved == nullptr) {
+      COLT_ASSIGN_OR_RETURN(Relation outer, Run(*node.left, false, acc));
+      const BTreeIndex* index = snapshot_->Find(node.index_id);
+      if (index == nullptr) {
         return Status::FailedPrecondition("probe index not built: " +
                                           std::to_string(node.index_id));
       }
-      const BTreeIndex& index = *resolved;
-      const JoinPredicate& j = node.join_predicate;
+      Relation out = Relation::Concat(outer.tables, {node.table});
+      if (outer.size == 0) return out;
       // Which side of the join predicate is the inner (probed) table?
-      const bool inner_is_left = (j.left.table == node.table);
-      // (The probe below is written BTreeIndex::Lookup so the thread-role
-      // lint resolves it strictly; the unqualified name would widen onto
-      // the owner-only WhatIfCache::Lookup.)
-      const ColumnRef outer_col = inner_is_left ? j.right : j.left;
-      std::vector<BoundRow> out;
+      const JoinPredicate& j = node.join_predicate;
+      const ColumnRef outer_col = j.left.table == node.table ? j.right : j.left;
+      const int k = outer.ColumnOf(outer_col.table);
+      if (k < 0) return Status::Internal("outer row missing join binding");
+      const KeyColumn keys{
+          db_->data(outer_col.table).column(outer_col.column).data(),
+          outer.rows[static_cast<size_t>(k)].data()};
+      const TableData* inner =
+          node.filter_predicates.empty() ? nullptr : &db_->data(node.table);
       std::vector<RowId> matches;
-      for (const auto& o : outer) {
-        const RowId orow = o.RowFor(outer_col.table);
-        if (orow < 0) {
-          return Status::Internal("outer row missing join binding");
-        }
-        const int64_t key = Value(outer_col.table, outer_col.column, orow);
+      for (int64_t o = 0; o < outer.size; ++o) {
         matches.clear();
-        const int64_t leaves = index.BTreeIndex::Lookup(key, &matches);
-        acc->pages_index += leaves + index.height();
+        // (The probe is written BTreeIndex::Lookup so the thread-role lint
+        // resolves it strictly; the unqualified name would widen onto the
+        // owner-only WhatIfCache::Lookup.)
+        const int64_t leaves =
+            index->BTreeIndex::Lookup(keys.at(o), &matches);
+        acc->pages_index += leaves + index->height();
         acc->pages_random += DistinctHeapPages(node.table, matches);
-        for (RowId r : matches) {
-          ++acc->tuples_processed;
-          bool pass = true;
-          for (const auto& pred : node.filter_predicates) {
-            if (!pred.Matches(Value(node.table, pred.column.column, r))) {
-              pass = false;
-              break;
-            }
-          }
-          if (!pass) continue;
-          BoundRow merged = o;
-          merged.bindings.emplace_back(node.table, r);
-          out.push_back(std::move(merged));
+        acc->tuples_processed += static_cast<int64_t>(matches.size());
+        if (inner != nullptr) {
+          FilterRows(*inner, node.filter_predicates, &matches);
+        }
+        for (const RowId r : matches) {
+          out.AppendFrom(outer, o, 0);
+          out.rows.back().push_back(r);
+          ++out.size;
         }
       }
       return out;
@@ -254,8 +449,9 @@ Result<ExecutionResult> Executor::ExecuteWithSnapshot(
   ScopedTimer timer(execute_seconds_);
   snapshot_ = snapshot;
   ExecutionResult acc;
-  COLT_ASSIGN_OR_RETURN(std::vector<BoundRow> rows, Run(plan, &acc));
-  acc.output_rows = static_cast<int64_t>(rows.size());
+  COLT_ASSIGN_OR_RETURN(const Relation result,
+                        Run(plan, /*count_only=*/true, &acc));
+  acc.output_rows = result.size;
   snapshot_ = nullptr;
   return acc;
 }
@@ -284,29 +480,16 @@ Result<ExecutionResult> Executor::ExecuteWrite(Database* db, const Query& q,
   std::vector<RowId> matched;
   if (q.kind() != StatementKind::kInsert) {
     if (locate_plan != nullptr) {
-      Result<std::vector<BoundRow>> rows = Run(*locate_plan, &acc);
-      if (!rows.ok()) {
+      Result<Relation> located = Run(*locate_plan, /*count_only=*/false, &acc);
+      if (!located.ok()) {
         snapshot_ = nullptr;
-        return rows.status();
+        return located.status();
       }
-      matched.reserve(rows->size());
-      for (const BoundRow& row : *rows) matched.push_back(row.RowFor(table));
+      // A plan that never binds the target table locates no row of it.
+      const int k = located->ColumnOf(table);
+      if (k >= 0) matched = std::move(located->rows[static_cast<size_t>(k)]);
     } else {
-      const TableData& data = db_->data(table);
-      acc.pages_seq += db_->catalog().table(table).heap_pages();
-      const auto selections = q.selections();
-      for (RowId r = 0; r < data.row_count(); ++r) {
-        if (!data.live(r)) continue;
-        ++acc.tuples_processed;
-        bool pass = true;
-        for (const auto& pred : selections) {
-          if (!pred.Matches(Value(table, pred.column.column, r))) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) matched.push_back(r);
-      }
+      matched = ScanTable(table, q.selections(), &acc);
     }
   }
   snapshot_ = nullptr;

@@ -105,37 +105,42 @@ class Executor {
       Database* db, const Query& q, const PlanNode* locate_plan);
 
  private:
-  /// A tuple in flight: one bound row per participating table, ordered as
-  /// (table, row) pairs.
-  struct BoundRow {
-    std::vector<std::pair<TableId, RowId>> bindings;
-    RowId RowFor(TableId table) const {
-      for (const auto& [t, r] : bindings) {
-        if (t == table) return r;
-      }
-      return -1;
-    }
-  };
+  /// An intermediate result in flat form: one row-id column per bound
+  /// table instead of one allocation per tuple (defined in executor.cc).
+  struct Relation;
+  /// Times one operator exclusively (defined in executor.cc).
+  class OperatorTimer;
 
-  Result<std::vector<BoundRow>> Run(const PlanNode& node,
-                                    ExecutionResult* acc);
+  /// Evaluates the subtree at `node`. With `count_only`, a hash join at
+  /// this node returns only its match count (the plan root of a read:
+  /// nothing above it needs the tuples).
+  Result<Relation> Run(const PlanNode& node, bool count_only,
+                       ExecutionResult* acc);
 
-  int64_t Value(TableId table, ColumnId column, RowId row) const {
-    return db_->data(table).value(column, row);
-  }
+  /// Live rows of `table` that pass every predicate, in row order, charged
+  /// as a full sequential scan.
+  std::vector<RowId> ScanTable(TableId table,
+                               const std::vector<SelectionPredicate>& preds,
+                               ExecutionResult* acc) const;
 
   /// Distinct heap pages containing `rows` of `table`.
-  int64_t DistinctHeapPages(TableId table,
-                            const std::vector<RowId>& rows) const;
+  int64_t DistinctHeapPages(TableId table, const std::vector<RowId>& rows);
 
   const Database* db_;
+  const MetricsRegistry* registry_;
   /// Index snapshot for the Execute() in flight, captured once per query
   /// under its epoch guard so every operator in the plan sees one
   /// consistent index set.
   const Database::IndexSnapshot* snapshot_ = nullptr;
+  /// The innermost operator being timed; children charge their inclusive
+  /// time to it so each operator records only its own.
+  OperatorTimer* running_op_ = nullptr;
+  /// Sort buffer for DistinctHeapPages over unsorted row ids.
+  std::vector<RowId> page_scratch_;
 
-  /// Per-operator wall-clock histograms, indexed by PlanNodeType. An
-  /// operator's time is inclusive of its children (span semantics).
+  /// Per-operator wall-clock histograms, indexed by PlanNodeType. Each
+  /// records the operator's exclusive (self) time, so per query they sum
+  /// to at most `exec.execute.seconds`.
   static constexpr size_t kNumOperators = 6;
   Histogram* op_seconds_[kNumOperators];
   Counter* op_invocations_;

@@ -144,6 +144,14 @@ class ParserImpl {
       if (column == kInvalidColumnId) {
         return Status::NotFound("unknown column '" + column_name + "'");
       }
+      // MakeUpdate sorts the SET list, so a repeated column would keep
+      // whichever value sorts last rather than the one written last.
+      for (const SetClause& earlier : sets) {
+        if (earlier.column == column) {
+          return Status::InvalidArgument("column '" + column_name +
+                                         "' is assigned twice");
+        }
+      }
       COLT_RETURN_IF_ERROR(ExpectSymbol("="));
       COLT_ASSIGN_OR_RETURN(const int64_t value, ExpectInt());
       sets.push_back(SetClause{column, value});
@@ -253,6 +261,11 @@ class ParserImpl {
       const TableId id = catalog_->FindTable(name);
       if (id == kInvalidTableId) {
         return Status::NotFound("unknown table '" + name + "'");
+      }
+      // Queries have no aliases, so a repeated table cannot be a self-join.
+      if (std::find(tables->begin(), tables->end(), id) != tables->end()) {
+        return Status::InvalidArgument("table '" + name +
+                                       "' appears twice in the FROM list");
       }
       tables->push_back(id);
       if (!PeekSymbol(",")) break;

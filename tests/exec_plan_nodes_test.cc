@@ -49,6 +49,13 @@ class PlanNodeExecTest : public ::testing::Test {
     return node;
   }
 
+  /// `{pred}` when `apply`, else no filter.
+  static std::vector<SelectionPredicate> Filters(bool apply,
+                                                 SelectionPredicate pred) {
+    if (!apply) return {};
+    return {pred};
+  }
+
   int64_t CountJoinMatches(int64_t left_val_filter) {
     // Reference: hash join computed by hand.
     const TableData& left = db_.data(0);
@@ -112,16 +119,39 @@ TEST_F(PlanNodeExecTest, IndexNLJoinMatchesReference) {
 }
 
 TEST_F(PlanNodeExecTest, EmptyFilterProducesEmptyJoin) {
-  auto join = std::make_unique<PlanNode>();
-  join->type = PlanNodeType::kHashJoin;
-  join->join_predicate = JoinPredicate{left_key_, right_ref_};
-  // l_val is uniform over [0, 5); value 99 never occurs.
-  join->left = SeqScan("left", {SelectionPredicate{left_val_, 99, 99}});
-  join->right = SeqScan("right", {});
-  Executor executor(&db_);
-  auto result = executor.Execute(*join);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->output_rows, 0);
+  // l_val is uniform over [0, 5) and r_val over [0, 3); 99 never occurs.
+  // An empty left input is the build side of the hash join; an empty
+  // probe side needs both inputs empty. Scans still count every live row
+  // they read and the joins count what they consume.
+  const ColumnRef right_val = Ref(db_.catalog(), "right", "r_val");
+  const SelectionPredicate none_left{left_val_, 99, 99};
+  const SelectionPredicate none_right{right_val, 99, 99};
+  struct Case {
+    bool left_empty;
+    bool right_empty;
+  };
+  for (const Case c :
+       {Case{true, false}, Case{false, true}, Case{true, true}}) {
+    for (auto type : {PlanNodeType::kHashJoin, PlanNodeType::kNestLoopJoin}) {
+      auto join = std::make_unique<PlanNode>();
+      join->type = type;
+      join->join_predicate = JoinPredicate{left_key_, right_ref_};
+      join->left = SeqScan("left", Filters(c.left_empty, none_left));
+      join->right = SeqScan("right", Filters(c.right_empty, none_right));
+      Executor executor(&db_);
+      auto result = executor.Execute(*join);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->output_rows, 0);
+      const int64_t left_rows = c.left_empty ? 0 : 200;
+      const int64_t right_rows = c.right_empty ? 0 : 100;
+      const int64_t join_tuples = type == PlanNodeType::kHashJoin
+                                      ? left_rows + right_rows
+                                      : left_rows * right_rows;
+      EXPECT_EQ(result->tuples_processed, 200 + 100 + join_tuples)
+          << PlanNodeTypeName(type) << " left_empty=" << c.left_empty
+          << " right_empty=" << c.right_empty;
+    }
+  }
 }
 
 TEST_F(PlanNodeExecTest, StackedFiltersConjunctive) {
@@ -180,6 +210,171 @@ TEST_F(PlanNodeExecTest, TuplesProcessedAccumulates) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tuples_processed, 200);
   EXPECT_EQ(result->output_rows, 200);
+}
+
+TEST_F(PlanNodeExecTest, DuplicateKeysAndBothPredicateTablesOnTheOuter) {
+  // l_key and r_ref both draw from [0, 20), so keys repeat on both sides.
+  // The inner hash join is not the root, so it materializes every
+  // matching pair; the nested loop's predicate then reads both tables
+  // from that outer tuple, and each of them matches every inner row.
+  const ColumnRef right_val = Ref(db_.catalog(), "right", "r_val");
+  auto hash = std::make_unique<PlanNode>();
+  hash->type = PlanNodeType::kHashJoin;
+  hash->join_predicate = JoinPredicate{left_key_, right_ref_};
+  hash->left = SeqScan("left", {});
+  hash->right = SeqScan("right", {});
+  PlanNode nest;
+  nest.type = PlanNodeType::kNestLoopJoin;
+  nest.join_predicate = JoinPredicate{left_key_, right_ref_};
+  nest.left = std::move(hash);
+  nest.right = SeqScan("right", {SelectionPredicate{right_val, 0, 0}});
+  const TableData& right = db_.data(1);
+  int64_t inner_rows = 0;
+  for (RowId r = 0; r < right.row_count(); ++r) {
+    if (right.value(1, r) == 0) ++inner_rows;
+  }
+  const int64_t pairs = CountJoinMatches(-1);
+  ASSERT_GT(pairs, 200) << "keys should repeat on both sides";
+  Executor executor(&db_);
+  auto result = executor.Execute(nest);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->output_rows, pairs * inner_rows);
+  // Scans: 200 + 100 + 100; hash join: 200 + 100; nested loop: pairs x
+  // inner rows.
+  EXPECT_EQ(result->tuples_processed, 700 + pairs * inner_rows);
+}
+
+TEST_F(PlanNodeExecTest, IndexNLJoinRejectsOuterWithoutJoinBinding) {
+  // The probe index is on right.r_ref, so the outer must bind left; an
+  // outer scan of right does not.
+  const ColumnRef right_val = Ref(db_.catalog(), "right", "r_val");
+  for (const bool empty_outer : {false, true}) {
+    PlanNode join;
+    join.type = PlanNodeType::kIndexNLJoin;
+    join.join_predicate = JoinPredicate{left_key_, right_ref_};
+    join.left = SeqScan("right", Filters(empty_outer, {right_val, 99, 99}));
+    join.table = db_.catalog().FindTable("right");
+    join.index_id = right_index_;
+    Executor executor(&db_);
+    auto result = executor.Execute(join);
+    if (empty_outer) {
+      // No outer tuple ever asks for the binding.
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->output_rows, 0);
+    } else {
+      EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+      EXPECT_NE(result.status().ToString().find("missing join binding"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST_F(PlanNodeExecTest, RangeEdgesMatchTheClosedInterval) {
+  // Put both int64 extremes in the data so the unsigned range test sees
+  // values that wrap.
+  const TableId left = db_.catalog().FindTable("left");
+  ASSERT_TRUE(db_.UpdateRows(left, {0}, {{left_val_.column, INT64_MIN}}).ok());
+  ASSERT_TRUE(db_.UpdateRows(left, {1}, {{left_val_.column, INT64_MAX}}).ok());
+  auto desc = db_.mutable_catalog().IndexOn(left_key_);
+  ASSERT_TRUE(desc.ok());
+  ASSERT_TRUE(db_.BuildIndex(desc->id).ok());
+  const std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {3, 2},                  // lo > hi: empty
+      {INT64_MAX, INT64_MIN},  // lo > hi at the extremes
+      {INT64_MIN, INT64_MAX},  // everything
+      {INT64_MIN, INT64_MIN},  // the minimum only
+      {INT64_MAX, INT64_MAX},  // the maximum only
+      {INT64_MIN, 2},          // open below
+      {2, INT64_MAX},          // open above
+      {INT64_MIN + 1, INT64_MAX - 1},
+  };
+  const TableData& data = db_.data(left);
+  Executor executor(&db_);
+  for (const auto& [lo, hi] : ranges) {
+    const SelectionPredicate pred{left_val_, lo, hi};
+    int64_t expected = 0;
+    for (RowId r = 0; r < data.row_count(); ++r) {
+      if (pred.Matches(data.value(left_val_.column, r))) ++expected;
+    }
+    const std::string context =
+        "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    // First predicate of a scan, second after an all-pass predicate, and
+    // a residual filter of an index scan over every key.
+    const SelectionPredicate all_keys{left_key_, INT64_MIN, INT64_MAX};
+    for (const auto& filters :
+         {std::vector{pred}, std::vector{all_keys, pred}}) {
+      auto scan = SeqScan("left", filters);
+      auto result = executor.Execute(*scan);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->output_rows, expected) << context;
+      EXPECT_EQ(result->tuples_processed, 200) << context;
+    }
+    PlanNode index_scan;
+    index_scan.type = PlanNodeType::kIndexScan;
+    index_scan.table = left;
+    index_scan.index_id = desc->id;
+    index_scan.index_predicate = all_keys;
+    index_scan.filter_predicates = {pred};
+    auto result = executor.Execute(index_scan);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->output_rows, expected) << context;
+    EXPECT_EQ(result->tuples_processed, 200) << context;
+  }
+}
+
+TEST_F(PlanNodeExecTest, TombstonesAreSkippedByScansAndLocates) {
+  const TableId left = db_.catalog().FindTable("left");
+  const TableData& data = db_.data(left);
+  auto count_live = [&](int64_t lo, int64_t hi) {
+    int64_t n = 0;
+    for (RowId r = 0; r < data.row_count(); ++r) {
+      const int64_t v = data.value(left_val_.column, r);
+      if (data.live(r) && v >= lo && v <= hi) ++n;
+    }
+    return n;
+  };
+  Executor executor(&db_);
+  // DELETE l_val = 0 through the fallback scan.
+  const int64_t zeros = count_live(0, 0);
+  ASSERT_GT(zeros, 0);
+  auto deleted = executor.ExecuteWrite(
+      &db_, Query::MakeDelete(left, {SelectionPredicate{left_val_, 0, 0}}),
+      nullptr);
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_EQ(deleted->rows_written, zeros);
+  EXPECT_EQ(deleted->tuples_processed, 200);
+  EXPECT_EQ(data.live_row_count(), 200 - zeros);
+
+  // A seq scan reads and returns only live rows.
+  auto all = executor.Execute(*SeqScan("left", {}));
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->output_rows, 200 - zeros);
+  EXPECT_EQ(all->tuples_processed, 200 - zeros);
+  auto gone = executor.Execute(*SeqScan("left", {{left_val_, 0, 0}}));
+  ASSERT_TRUE(gone.ok());
+  EXPECT_EQ(gone->output_rows, 0);
+  EXPECT_EQ(gone->tuples_processed, 200 - zeros);
+
+  // UPDATE and DELETE over [0, 1] locate only the live l_val = 1 rows,
+  // with and without a locate plan.
+  const std::vector<SelectionPredicate> where = {{left_val_, 0, 1}};
+  const int64_t ones = count_live(0, 1);
+  ASSERT_GT(ones, 0);
+  const Query update = Query::MakeUpdate(left, {{left_key_.column, 7}}, where);
+  const std::unique_ptr<PlanNode> locate = SeqScan("left", where);
+  for (const PlanNode* plan : std::vector<const PlanNode*>{nullptr,
+                                                           locate.get()}) {
+    auto updated = executor.ExecuteWrite(&db_, update, plan);
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    EXPECT_EQ(updated->rows_written, ones);
+    EXPECT_EQ(updated->tuples_processed, 200 - zeros);
+  }
+  auto deleted_again =
+      executor.ExecuteWrite(&db_, Query::MakeDelete(left, where), locate.get());
+  ASSERT_TRUE(deleted_again.ok()) << deleted_again.status().ToString();
+  EXPECT_EQ(deleted_again->rows_written, ones);
+  EXPECT_EQ(data.live_row_count(), 200 - zeros - ones);
+  EXPECT_EQ(count_live(0, 1), 0);
 }
 
 }  // namespace

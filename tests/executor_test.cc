@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "optimizer/optimizer.h"
 #include "test_util.h"
@@ -252,6 +253,60 @@ TEST_F(ExecutorTest, IndexNestedLoopJoinExecutes) {
   auto result = executor.Execute(*plan.plan);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->output_rows, BruteForceCount(db_, q));
+}
+
+TEST_F(ExecutorTest, OperatorTimesAreExclusiveOfChildren) {
+  // (small |><| big) |><| small: two hash joins over three scans, timed
+  // into a private registry.
+  MetricsRegistry registry;
+  registry.set_enabled(true);
+  Executor executor(&db_, &registry);
+  const JoinPredicate j{Ref(db_.catalog(), "big", "b_key"),
+                        Ref(db_.catalog(), "small", "s_ref")};
+  auto scan = [&](const char* table, std::vector<SelectionPredicate> preds) {
+    auto node = std::make_unique<PlanNode>();
+    node->type = PlanNodeType::kSeqScan;
+    node->table = db_.catalog().FindTable(table);
+    node->filter_predicates = std::move(preds);
+    return node;
+  };
+  const ColumnRef s_val = Ref(db_.catalog(), "small", "s_val");
+  auto inner = std::make_unique<PlanNode>();
+  inner->type = PlanNodeType::kHashJoin;
+  inner->join_predicate = j;
+  inner->left = scan("small", {SelectionPredicate{s_val, 0, 9}});
+  inner->right = scan("big", {});
+  PlanNode root;
+  root.type = PlanNodeType::kHashJoin;
+  root.join_predicate = j;
+  root.left = std::move(inner);
+  root.right = scan("small", {});
+  constexpr int kRuns = 5;
+  for (int i = 0; i < kRuns; ++i) {
+    auto result = executor.Execute(root);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT(result->output_rows, 0);
+  }
+
+  double op_seconds = 0.0;
+  int64_t op_count = 0;
+  for (const Histogram* op : {
+           registry.GetHistogram("exec.seq_scan.seconds"),
+           registry.GetHistogram("exec.index_scan.seconds"),
+           registry.GetHistogram("exec.bitmap_scan.seconds"),
+           registry.GetHistogram("exec.nest_loop_join.seconds"),
+           registry.GetHistogram("exec.index_nl_join.seconds"),
+           registry.GetHistogram("exec.hash_join.seconds"),
+       }) {
+    op_seconds += op->sum();
+    op_count += op->count();
+  }
+  // Self times add up to at most the whole query, where inclusive times
+  // would count the scans up to three times.
+  EXPECT_LE(op_seconds, registry.GetHistogram("exec.execute.seconds")->sum());
+  EXPECT_EQ(op_count,
+            registry.GetCounter("exec.operator.invocations")->value());
+  EXPECT_EQ(op_count, kMetricsCompiledIn ? 5 * kRuns : 0);
 }
 
 }  // namespace

@@ -299,5 +299,31 @@ TEST_F(ParserTest, MissingOperand) {
       parser_.Parse("SELECT COUNT(*) FROM big WHERE big.b_key").ok());
 }
 
+TEST_F(ParserTest, DuplicateSetColumnRejected) {
+  // The SET list is sorted by (column, value), so `c = 5, c = 1` used to
+  // assign 5: the larger value won whatever the written order.
+  for (const char* sql : {"UPDATE big SET b_val = 5, b_val = 1",
+                          "UPDATE big SET b_val = 1, b_key = 2, b_val = 1"}) {
+    auto q = parser_.Parse(sql);
+    ASSERT_FALSE(q.ok()) << sql;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(q.status().message().find("assigned twice"), std::string::npos)
+        << sql;
+  }
+}
+
+TEST_F(ParserTest, DuplicateFromTableRejected) {
+  // `FROM t, t` used to collapse silently to one table.
+  for (const char* sql : {"SELECT COUNT(*) FROM big, big",
+                          "SELECT COUNT(*) FROM big, small, big WHERE "
+                          "big.b_key = small.s_ref"}) {
+    auto q = parser_.Parse(sql);
+    ASSERT_FALSE(q.ok()) << sql;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(q.status().message().find("appears twice"), std::string::npos)
+        << sql;
+  }
+}
+
 }  // namespace
 }  // namespace colt

@@ -247,5 +247,22 @@ TEST(ServeTest, EpochEndHookSeesQuiescentClients) {
   }
 }
 
+TEST(ServeDeathTest, TraceWithAWriteAbortsBeforeServing) {
+  // The check runs before the client pool starts, so no thread exists yet
+  // when the death test forks.
+  Database db(MakeTestCatalog(), /*seed=*/7);
+  QueryOptimizer optimizer(&db.catalog());
+  std::vector<Query> trace = MakeTrace(db.catalog(), 6);
+  trace.insert(trace.begin() + 4,
+               Query::MakeInsert(db.catalog().FindTable("big"), 10));
+  trace.push_back(Query::MakeDelete(db.catalog().FindTable("small"), {}));
+  ServeOptions options;
+  options.client_threads = 2;
+  options.pin_threads = false;
+  EXPECT_DEATH(
+      ServeWorkload(&db, &optimizer, /*tuner=*/nullptr, trace, options),
+      "read-only traces; the statement at trace index 4 is a write");
+}
+
 }  // namespace
 }  // namespace colt
