@@ -1,6 +1,8 @@
 #include "index/btree.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 namespace colt {
 
@@ -445,37 +447,153 @@ bool BTreeIndex::Erase(int64_t key, RowId row) {
   return erased;
 }
 
+namespace {
+
+using Entry = std::pair<int64_t, RowId>;
+
+/// One stable counting-sort pass of BulkLoad's LSD radix sort: it orders
+/// entries by bits [shift, shift + width) of (field − base), read as
+/// uint64, where the field is the key or the row id.
+struct RadixPass {
+  bool row_digit;
+  uint64_t base;
+  int shift;
+  uint64_t mask;
+
+  size_t Digit(const Entry& e) const {
+    const uint64_t field =
+        static_cast<uint64_t>(row_digit ? e.second : e.first);
+    return static_cast<size_t>(((field - base) >> shift) & mask);
+  }
+};
+
+/// Appends the passes that sort the values in [lo, hi] by the digits of
+/// (value − lo): the fewest equal-width digits of at most `max_width`
+/// bits, least significant first. Nothing when lo == hi.
+void AddRadixPasses(bool row_digit, int64_t lo, int64_t hi, int max_width,
+                    std::vector<RadixPass>* passes) {
+  const uint64_t base = static_cast<uint64_t>(lo);
+  const int bits =
+      static_cast<int>(std::bit_width(static_cast<uint64_t>(hi) - base));
+  if (bits == 0) return;
+  const int digits = (bits + max_width - 1) / max_width;
+  const int width = (bits + digits - 1) / digits;
+  for (int d = 0; d < digits; ++d) {
+    passes->push_back(
+        {row_digit, base, d * width, (uint64_t{1} << width) - 1});
+  }
+}
+
+/// Histograms `pass`'s digits over `entries` into `counts` (resized to
+/// the pass's bucket count) and turns them into exclusive prefix sums:
+/// `counts[d]` becomes the sorted position of the first entry with digit d.
+void DigitOffsets(const std::vector<Entry>& entries, const RadixPass& pass,
+                  std::vector<size_t>* counts) {
+  counts->assign(static_cast<size_t>(pass.mask) + 1, 0);
+  for (const Entry& e : entries) ++(*counts)[pass.Digit(e)];
+  size_t sum = 0;
+  for (size_t& c : *counts) sum += std::exchange(c, sum);
+}
+
+}  // namespace
+
 Status BTreeIndex::BulkLoad(std::vector<std::pair<int64_t, RowId>> entries) {
   if (root_.load(std::memory_order_acquire) != nullptr) {
     return Status::FailedPrecondition("BulkLoad requires an empty tree");
   }
-  std::sort(entries.begin(), entries.end());
   if (entries.empty()) return Status::OK();
+  const size_t n = entries.size();
+
+  // Sort (key, row) pairs with a stable LSD radix sort: row digits first,
+  // then key digits, which yields lexicographic (key, row) order. When
+  // the rows already ascend (Database::PrepareIndex passes them in row
+  // order), equal keys keep their input order, so the row passes would
+  // move nothing and are skipped.
+  int64_t min_key = entries[0].first, max_key = min_key;
+  RowId min_row = entries[0].second, max_row = min_row;
+  bool rows_ascend = true;
+  for (size_t i = 1; i < n; ++i) {
+    const auto [key, row] = entries[i];
+    min_key = std::min(min_key, key);
+    max_key = std::max(max_key, key);
+    min_row = std::min(min_row, row);
+    max_row = std::max(max_row, row);
+    rows_ascend = rows_ascend && row >= entries[i - 1].second;
+  }
+  // Digits of up to 16 bits, narrowed for small inputs so that a count
+  // table never dwarfs the entries it sorts.
+  const int max_width =
+      std::clamp(static_cast<int>(std::bit_width(n)), 8, 16);
+  std::vector<RadixPass> passes;
+  if (!rows_ascend) {
+    AddRadixPasses(/*row_digit=*/true, min_row, max_row, max_width, &passes);
+  }
+  AddRadixPasses(/*row_digit=*/false, min_key, max_key, max_width, &passes);
+  // Input that is already sorted still goes through one (identity) pass,
+  // which copies it into the leaves.
+  if (passes.empty()) passes.push_back({false, 0, 0, 0});
+
+  // All passes but the last ping-pong between `entries` and one scratch
+  // array; the last one scatters straight into leaf slots.
+  std::vector<size_t> offsets;
+  std::vector<Entry> scratch;
+  if (passes.size() > 1) scratch.resize(n);
+  std::vector<Entry>* src = &entries;
+  std::vector<Entry>* dst = &scratch;
+  for (size_t p = 0; p + 1 < passes.size(); ++p) {
+    DigitOffsets(*src, passes[p], &offsets);
+    for (const Entry& e : *src) (*dst)[offsets[passes[p].Digit(e)]++] = e;
+    std::swap(src, dst);
+  }
+  std::vector<Entry>().swap(*dst);  // free the array the last pass skips
 
   // The structure is private until the root is published below, so plain
-  // relaxed stores suffice while building.
+  // relaxed stores suffice while building. Leaves are packed full in
+  // sorted order: position i lands in leaf i / fanout, slot i % fanout.
   std::vector<Node*> level;
   const size_t per_leaf = static_cast<size_t>(fanout_);
-  for (size_t start = 0; start < entries.size(); start += per_leaf) {
-    const size_t end = std::min(entries.size(), start + per_leaf);
+  level.reserve((n + per_leaf - 1) / per_leaf);
+  for (size_t start = 0; start < n; start += per_leaf) {
     Node* leaf = new Node(/*leaf=*/true, fanout_, kInitialVersion);
-    for (size_t i = start; i < end; ++i) {
-      leaf->keys[i - start].store(entries[i].first,
-                                  std::memory_order_relaxed);
-      leaf->values[i - start].store(entries[i].second,
-                                    std::memory_order_relaxed);
-    }
-    leaf->count.store(static_cast<int32_t>(end - start),
+    leaf->count.store(static_cast<int32_t>(std::min(n - start, per_leaf)),
                       std::memory_order_relaxed);
     if (!level.empty()) {
       level.back()->next_leaf.store(leaf, std::memory_order_relaxed);
     }
     level.push_back(leaf);
   }
+  // Last pass: each digit's run of sorted positions becomes a (leaf, slot)
+  // cursor that advances leaf by leaf, so no entry needs a division.
+  struct LeafCursor {
+    Node* const* leaf;
+    int32_t slot;
+  };
+  const RadixPass& last = passes.back();
+  DigitOffsets(*src, last, &offsets);
+  std::vector<LeafCursor> cursors(offsets.size());
+  for (size_t d = 0; d < offsets.size(); ++d) {
+    cursors[d] = {level.data() + offsets[d] / per_leaf,
+                  static_cast<int32_t>(offsets[d] % per_leaf)};
+  }
+  std::vector<size_t>().swap(offsets);
+  for (const Entry& e : *src) {
+    LeafCursor& c = cursors[last.Digit(e)];
+    Node* leaf = *c.leaf;
+    leaf->keys[static_cast<size_t>(c.slot)].store(e.first,
+                                                  std::memory_order_relaxed);
+    leaf->values[static_cast<size_t>(c.slot)].store(e.second,
+                                                    std::memory_order_relaxed);
+    if (++c.slot == fanout_) {
+      ++c.leaf;
+      c.slot = 0;
+    }
+  }
+  std::vector<LeafCursor>().swap(cursors);
+  std::vector<Entry>().swap(*src);
+
   leaf_count_.store(static_cast<int64_t>(level.size()),
                     std::memory_order_relaxed);
-  entry_count_.store(static_cast<int64_t>(entries.size()),
-                     std::memory_order_relaxed);
+  entry_count_.store(static_cast<int64_t>(n), std::memory_order_relaxed);
   int32_t height = 1;
 
   // Build internal levels bottom-up.

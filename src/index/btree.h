@@ -71,7 +71,12 @@ class BTreeIndex {
   COLT_THREAD_NEUTRAL bool Erase(int64_t key, RowId row);
 
   /// Bulk-loads from (key, row) pairs; requires an empty tree. Pairs need
-  /// not be sorted. Produces leaves ~100% full (like CREATE INDEX).
+  /// not be sorted: for any input the leaves hold them in lexicographic
+  /// (key, row) order, packed 100% full (like CREATE INDEX). Runs in time
+  /// linear in the number of pairs (a stable LSD radix sort whose last
+  /// pass writes into the leaves) and allocates at most one scratch array
+  /// of that many pairs; none when the rows already ascend and one digit
+  /// (up to 16 bits) spans the keys.
   /// Builds a private structure and publishes the root last; the caller
   /// must not run concurrent operations on the same tree while loading.
   COLT_THREAD_NEUTRAL Status BulkLoad(

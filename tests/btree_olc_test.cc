@@ -33,6 +33,13 @@ void AwaitFlag(const std::atomic<bool>& flag) {
   }
 }
 
+/// Spin until `count` reaches `target`: readers check in after their
+/// first completed scan, so the owner's work is sure to overlap them.
+void AwaitCount(const std::atomic<int>& count, int target) {
+  while (count.load(std::memory_order_acquire) < target) {
+  }
+}
+
 TEST(BTreeOlc, RestartCountersStartZeroAndStayZeroUncontended) {
   BTreeIndex tree(4);
   EXPECT_EQ(tree.read_restarts(), 0);
@@ -67,8 +74,13 @@ TEST(BTreeOlc, ReadersRaceSplitStormAtTinyFanout) {
   ThreadPool pool(kWriters + kReaders);
   std::vector<std::future<int64_t>> futures;
   std::atomic<int> writers_left{kWriters};
+  std::atomic<int> scanning{0};
   for (int w = 0; w < kWriters; ++w) {
-    futures.push_back(pool.Submit([&tree, &writers_done, &writers_left, w] {
+    futures.push_back(pool.Submit([&tree, &writers_done, &writers_left,
+                                   &scanning, w] {
+      // The storm is short; starting it only once every reader is
+      // scanning makes sure the inserts actually race the readers.
+      AwaitCount(scanning, kReaders);
       for (int64_t i = 0; i < kPerWriter; ++i) {
         // Writer w owns keys ≡ w+1 (mod kWriters+1), never colliding with
         // the sentinels at multiples of 1000... except harmlessly: the
@@ -82,7 +94,7 @@ TEST(BTreeOlc, ReadersRaceSplitStormAtTinyFanout) {
     }));
   }
   for (int r = 0; r < kReaders; ++r) {
-    futures.push_back(pool.Submit([&tree, &writers_done] {
+    futures.push_back(pool.Submit([&tree, &writers_done, &scanning] {
       int64_t scans = 0;
       std::vector<RowId> rows;
       size_t last_size = 0;
@@ -104,7 +116,7 @@ TEST(BTreeOlc, ReadersRaceSplitStormAtTinyFanout) {
         // result size can never exceed the final entry count.
         EXPECT_LE(rows.size(),
                   static_cast<size_t>(kSentinels + kWriters * kPerWriter));
-        ++scans;
+        if (++scans == 1) scanning.fetch_add(1, std::memory_order_release);
       } while (!writers_done.load(std::memory_order_acquire));
       return scans;
     }));
@@ -173,21 +185,26 @@ TEST(BTreeOlc, ConcurrentWritersMatchMultimapDifferential) {
 TEST(BTreeOlc, CheckInvariantsRunsUnderConcurrentReaders) {
   BTreeIndex tree(6);
   for (int64_t k = 0; k < 20000; ++k) tree.Insert(k, k);
+  constexpr int kReaders = 3;
   std::atomic<bool> stop{false};
-  ThreadPool pool(3);
+  std::atomic<int> scanning{0};
+  ThreadPool pool(kReaders);
   std::vector<std::future<int64_t>> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.push_back(pool.Submit([&tree, &stop, r] {
+  for (int r = 0; r < kReaders; ++r) {
+    readers.push_back(pool.Submit([&tree, &stop, &scanning, r] {
       int64_t hits = 0;
+      int64_t scans = 0;
       std::vector<RowId> rows;
       while (!stop.load(std::memory_order_acquire)) {
         rows.clear();
         tree.RangeScan(r * 1000, r * 1000 + 500, &rows);
         hits += static_cast<int64_t>(rows.size());
+        if (++scans == 1) scanning.fetch_add(1, std::memory_order_release);
       }
       return hits;
     }));
   }
+  AwaitCount(scanning, kReaders);
   // Writers are quiescent, so the checker's relaxed traversal is safe
   // against the scanning readers and must keep passing.
   for (int i = 0; i < 50; ++i) {
@@ -308,11 +325,14 @@ TEST(BTreeOlc, InstallPublishesWithoutBlockingReaders) {
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(db.BuildIndex(first.value().id).ok());
 
+  constexpr int kReaders = 2;
   std::atomic<bool> stop{false};
-  ThreadPool pool(2);
+  std::atomic<int> scanning{0};
+  ThreadPool pool(kReaders);
   std::vector<std::future<int64_t>> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.push_back(pool.Submit([&db, &stop, id = first.value().id] {
+  const IndexId id = first.value().id;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.push_back(pool.Submit([&db, &stop, &scanning, id] {
       int64_t scans = 0;
       std::vector<RowId> rows;
       while (!stop.load(std::memory_order_acquire)) {
@@ -322,11 +342,12 @@ TEST(BTreeOlc, InstallPublishesWithoutBlockingReaders) {
         EXPECT_NE(tree, nullptr);
         rows.clear();
         tree->RangeScan(0, 200, &rows);
-        ++scans;
+        if (++scans == 1) scanning.fetch_add(1, std::memory_order_release);
       }
       return scans;
     }));
   }
+  AwaitCount(scanning, kReaders);
   // Stage + install on the owner while the readers hammer the snapshot.
   Result<std::unique_ptr<BTreeIndex>> staged =
       db.PrepareIndex(second.value().id);

@@ -255,6 +255,248 @@ TEST_P(BulkVsInsertTest, SameContents) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BulkVsInsertTest, ::testing::Range(0, 10));
 
+using Entry = std::pair<int64_t, RowId>;
+
+/// The tree std::sort + pack builds: entries in (key, row) order, packed
+/// `fanout` to a leaf, internal levels of fanout + 1 children whose
+/// separators are their subtrees' first keys. Predicts what a bulk-loaded
+/// tree must report without looking inside it.
+class SortAndPackOracle {
+ public:
+  SortAndPackOracle(std::vector<Entry> entries, int32_t fanout)
+      : sorted_(std::move(entries)), fanout_(std::max(4, fanout)) {
+    std::sort(sorted_.begin(), sorted_.end());
+    for (size_t start = 0; start < sorted_.size(); start += fanout_) {
+      const size_t end = std::min(sorted_.size(), start + fanout_);
+      first_keys_.push_back(sorted_[start].first);
+      last_keys_.push_back(sorted_[end - 1].first);
+    }
+  }
+
+  const std::vector<Entry>& sorted() const { return sorted_; }
+  int64_t leaf_count() const {
+    return static_cast<int64_t>(first_keys_.size());
+  }
+  int32_t height() const {
+    if (first_keys_.empty()) return 0;
+    int32_t height = 1;
+    for (size_t nodes = first_keys_.size(); nodes > 1;
+         nodes = (nodes + fanout_) / (fanout_ + 1)) {
+      ++height;
+    }
+    return height;
+  }
+
+  /// Row ids of the entries with key in [lo, hi], in (key, row) order.
+  std::vector<RowId> Rows(int64_t lo, int64_t hi) const {
+    std::vector<RowId> rows;
+    auto it = std::lower_bound(sorted_.begin(), sorted_.end(), lo,
+                               [](const Entry& e, int64_t k) {
+                                 return e.first < k;
+                               });
+    for (; it != sorted_.end() && it->first <= hi; ++it) {
+      rows.push_back(it->second);
+    }
+    return rows;
+  }
+
+  /// Leaves RangeScan(lo, hi) walks: the lower-bound descent lands on the
+  /// last leaf whose first key is below `lo` (leaf 0 if none), and the
+  /// walk stops after the first leaf whose last key exceeds `hi`.
+  int64_t LeavesTouched(int64_t lo, int64_t hi) const {
+    if (lo > hi || first_keys_.empty()) return 0;
+    const auto first = std::partition_point(
+        first_keys_.begin() + 1, first_keys_.end(),
+        [lo](int64_t k) { return k < lo; });
+    const int64_t start = (first - first_keys_.begin()) - 1;
+    const auto stop = std::partition_point(
+        last_keys_.begin() + start, last_keys_.end() - 1,
+        [hi](int64_t k) { return k <= hi; });
+    return (stop - last_keys_.begin()) - start + 1;
+  }
+
+ private:
+  std::vector<Entry> sorted_;
+  size_t fanout_;
+  std::vector<int64_t> first_keys_;
+  std::vector<int64_t> last_keys_;
+};
+
+/// Bulk-loads `entries` and checks the tree against SortAndPackOracle:
+/// the exact (key, row) sequence, leaf_count(), height(), and the rows
+/// and leaves touched of scans at the data's edges and at random.
+void ExpectBulkLoadMatchesSortAndPack(const std::vector<Entry>& entries,
+                                      int32_t fanout, Rng* rng) {
+  SCOPED_TRACE(::testing::Message() << "n=" << entries.size()
+                                    << " fanout=" << fanout);
+  const SortAndPackOracle oracle(entries, fanout);
+  BTreeIndex tree(fanout);
+  ASSERT_TRUE(tree.BulkLoad(entries).ok());
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_EQ(tree.entry_count(), static_cast<int64_t>(entries.size()));
+  EXPECT_EQ(tree.leaf_count(), oracle.leaf_count());
+  EXPECT_EQ(tree.height(), oracle.height());
+
+  // (key, row) order: the full scan yields the rows in order, and a
+  // lookup of each distinct key yields that key's rows in order.
+  std::vector<RowId> got;
+  tree.RangeScan(INT64_MIN, INT64_MAX, &got);
+  ASSERT_EQ(got, oracle.Rows(INT64_MIN, INT64_MAX));
+  const std::vector<Entry>& sorted = oracle.sorted();
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const int64_t key = sorted[i].first;
+    if (i > 0 && sorted[i - 1].first == key) continue;
+    got.clear();
+    tree.Lookup(key, &got);
+    ASSERT_EQ(got, oracle.Rows(key, key)) << "key " << key;
+  }
+
+  // Leaves touched, at the extremes and between keys drawn from the data
+  // (±1 so that bounds fall between keys too).
+  std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {INT64_MIN, INT64_MAX}, {INT64_MIN, INT64_MIN}, {INT64_MAX, INT64_MAX},
+      {1, 0}};
+  const auto pick = [&]() -> int64_t {
+    if (sorted.empty()) return static_cast<int64_t>(rng->NextBelow(100));
+    const int64_t k = sorted[rng->NextBelow(sorted.size())].first;
+    const int64_t nudge = static_cast<int64_t>(rng->NextBelow(3)) - 1;
+    if ((nudge < 0 && k == INT64_MIN) || (nudge > 0 && k == INT64_MAX)) {
+      return k;
+    }
+    return k + nudge;
+  };
+  for (int s = 0; s < 40; ++s) {
+    const int64_t a = pick();
+    const int64_t b = pick();
+    ranges.emplace_back(std::min(a, b), std::max(a, b));
+  }
+  for (const auto& [lo, hi] : ranges) {
+    got.clear();
+    EXPECT_EQ(tree.RangeScan(lo, hi, &got), oracle.LeavesTouched(lo, hi))
+        << "range [" << lo << ", " << hi << "]";
+    EXPECT_EQ(got, oracle.Rows(lo, hi)) << "range [" << lo << ", " << hi
+                                        << "]";
+  }
+}
+
+/// Seeded Fisher-Yates shuffle.
+void Shuffle(std::vector<Entry>* entries, Rng* rng) {
+  for (size_t i = entries->size(); i > 1; --i) {
+    std::swap((*entries)[i - 1], (*entries)[rng->NextBelow(i)]);
+  }
+}
+
+/// Uniform key in [lo, lo + span); span 0 means the full 64-bit range.
+int64_t KeyInSpan(Rng* rng, int64_t lo, uint64_t span) {
+  const uint64_t offset = span == 0 ? rng->Next() : rng->NextBelow(span);
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + offset);
+}
+
+TEST(BTreeBulkLoad, FanoutBoundariesMatchSortAndPack) {
+  // Sizes at and around the points where a leaf, then a two-level tree,
+  // fills up; shuffled rows so that both row and key digits are sorted.
+  Rng rng(1701);
+  for (int32_t fanout : {4, 5, 16, 100, 128, 256}) {
+    const size_t f = static_cast<size_t>(fanout);
+    for (size_t n : {size_t{0}, size_t{1}, f - 1, f, f + 1, 2 * f + 1,
+                     f * (f + 1) - 1, f * (f + 1), f * (f + 1) + 1}) {
+      std::vector<Entry> entries;
+      for (size_t i = 0; i < n; ++i) {
+        entries.emplace_back(KeyInSpan(&rng, -500, 1000),
+                             static_cast<RowId>(i));
+      }
+      Shuffle(&entries, &rng);
+      ExpectBulkLoadMatchesSortAndPack(entries, fanout, &rng);
+    }
+  }
+}
+
+TEST(BTreeBulkLoad, KeyAndRowShapesMatchSortAndPack) {
+  struct KeyShape {
+    const char* name;
+    int64_t lo;
+    uint64_t span;  // 0: the full 64-bit range
+  };
+  const KeyShape key_shapes[] = {
+      {"all equal", 42, 1},           {"negative", -1'000'000, 900'000},
+      {"span 500", 0, 500},           {"span 25000", 0, 25'000},
+      {"span 2^20", -7, 1u << 20},    {"span 2^40", 1 << 20, 1ull << 40},
+      {"full 64-bit", INT64_MIN, 0},  {"near INT64_MAX", INT64_MAX - 3, 4},
+      {"near INT64_MIN", INT64_MIN, 4}};
+  enum class Rows {
+    kAscending,          // Database::PrepareIndex's order
+    kAscendingWithGaps,  // ... after tombstoned rows were skipped
+    kShuffled,
+    kDuplicated,      // one row id under several keys
+    kDuplicatePairs,  // whole (key, row) pairs repeated
+    kExtreme,         // row ids at both INT64 ends
+  };
+  Rng rng(2718);
+  int32_t fanout = 4;
+  for (const KeyShape& keys : key_shapes) {
+    for (Rows rows : {Rows::kAscending, Rows::kAscendingWithGaps,
+                      Rows::kShuffled, Rows::kDuplicated,
+                      Rows::kDuplicatePairs, Rows::kExtreme}) {
+      SCOPED_TRACE(::testing::Message() << keys.name << " keys, row shape "
+                                        << static_cast<int>(rows));
+      const size_t n = 3000 + rng.NextBelow(2000);
+      std::vector<Entry> entries;
+      RowId row = -1;
+      for (size_t i = 0; i < n; ++i) {
+        row += rows == Rows::kAscendingWithGaps
+                   ? 1 + static_cast<RowId>(rng.NextBelow(3))
+                   : 1;
+        entries.emplace_back(KeyInSpan(&rng, keys.lo, keys.span), row);
+      }
+      switch (rows) {
+        case Rows::kAscending:
+        case Rows::kAscendingWithGaps:
+          break;
+        case Rows::kShuffled:
+          Shuffle(&entries, &rng);
+          break;
+        case Rows::kDuplicated:
+          for (Entry& e : entries) {
+            e.second = static_cast<RowId>(rng.NextBelow(n / 8));
+          }
+          break;
+        case Rows::kDuplicatePairs:
+          for (size_t i = 0; i < n / 3; ++i) {
+            entries.push_back(entries[rng.NextBelow(n)]);
+          }
+          Shuffle(&entries, &rng);
+          break;
+        case Rows::kExtreme:
+          for (Entry& e : entries) {
+            e.second = rng.NextBool(0.5) ? INT64_MIN + e.second
+                                         : INT64_MAX - e.second;
+          }
+          break;
+      }
+      ExpectBulkLoadMatchesSortAndPack(entries, fanout, &rng);
+      fanout = fanout == 256 ? 4 : fanout * 2;
+    }
+  }
+}
+
+TEST(BTreeBulkLoad, LargeBuildsMatchSortAndPack) {
+  // Build-sized inputs: the narrow spans of lineitem's indexed columns in
+  // row order, a span that needs two key passes, and shuffled rows.
+  Rng rng(31337);
+  const size_t n = 200'000;
+  for (uint64_t span : {uint64_t{500}, uint64_t{25'000}, uint64_t{1} << 24}) {
+    for (bool shuffled : {false, true}) {
+      std::vector<Entry> entries;
+      entries.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        entries.emplace_back(KeyInSpan(&rng, 0, span), static_cast<RowId>(i));
+      }
+      if (shuffled) Shuffle(&entries, &rng);
+      ExpectBulkLoadMatchesSortAndPack(entries, 128, &rng);
+    }
+  }
+}
+
 TEST(BTree, RangeScanReportsLeavesTouched) {
   BTreeIndex tree(10);
   std::vector<std::pair<int64_t, RowId>> entries;
