@@ -1,10 +1,18 @@
 #include "common/epoch.h"
 
+#include <utility>
+
 #include "common/logging.h"
 
 namespace colt {
 
 namespace {
+
+/// Unpins `slot` and hands it back to the free pool.
+void UnpinAndFree(EpochManager::Slot* slot) {
+  slot->state.store(0, std::memory_order_release);
+  slot->claimed.store(false, std::memory_order_release);
+}
 
 /// Thread-local slot handle: claims a slot on the thread's first pin and
 /// releases it when the thread exits, so pool threads from successive
@@ -15,10 +23,7 @@ struct ThreadSlotHandle {
   int depth = 0;
 
   ~ThreadSlotHandle() {
-    if (slot != nullptr) {
-      slot->state.store(0, std::memory_order_release);
-      slot->claimed.store(false, std::memory_order_release);
-    }
+    if (slot != nullptr) UnpinAndFree(slot);
   }
 };
 
@@ -37,18 +42,33 @@ EpochManager& EpochManager::Global() {
 }
 
 EpochManager::Slot* EpochManager::ClaimSlot() {
-  if (t_slot.slot != nullptr) return t_slot.slot;
-  for (int i = 0; i < kMaxThreads; ++i) {
+  if (t_slot.slot == nullptr) t_slot.slot = ClaimFreeSlot();
+  return t_slot.slot;
+}
+
+EpochManager::Slot* EpochManager::ClaimFreeSlot() {
+  for (Slot& slot : slots_) {
     bool expected = false;
-    if (slots_[i].claimed.compare_exchange_strong(
-            expected, true, std::memory_order_acq_rel)) {
-      t_slot.slot = &slots_[i];
-      return t_slot.slot;
+    if (slot.claimed.compare_exchange_strong(expected, true,
+                                             std::memory_order_acq_rel)) {
+      return &slot;
     }
   }
   COLT_CHECK(false) << "EpochManager: more than " << kMaxThreads
-                    << " concurrent threads";
+                    << " concurrent threads and pins";
   return nullptr;
+}
+
+void EpochManager::PinCurrentEpoch(Slot* slot) {
+  // seq_cst orders the pin before the epoch re-check in TryReclaim: once
+  // this store is visible, no advance can pass the pinned epoch.
+  slot->state.store((global_epoch() << 1) | 1, std::memory_order_seq_cst);
+}
+
+EpochPin EpochManager::Pin() {
+  Slot* slot = ClaimFreeSlot();
+  PinCurrentEpoch(slot);
+  return EpochPin(slot);
 }
 
 void EpochManager::RetireRaw(void* p, void (*deleter)(void*)) {
@@ -123,15 +143,27 @@ EpochGuard::EpochGuard() : slot_(nullptr) {
   EpochManager::Slot* slot = manager.ClaimSlot();
   if (++t_slot.depth > 1) return;  // nested: outer guard owns the pin
   slot_ = slot;
-  // seq_cst orders the pin before the epoch re-check in TryReclaim: once
-  // this store is visible, no advance can pass our pinned epoch.
-  slot_->state.store((manager.global_epoch() << 1) | 1,
-                     std::memory_order_seq_cst);
+  manager.PinCurrentEpoch(slot_);
 }
 
 EpochGuard::~EpochGuard() {
   --t_slot.depth;
   if (slot_ != nullptr) slot_->state.store(0, std::memory_order_release);
+}
+
+EpochPin::EpochPin(EpochPin&& other) noexcept
+    : slot_(std::exchange(other.slot_, nullptr)) {}
+
+EpochPin& EpochPin::operator=(EpochPin&& other) noexcept {
+  if (this != &other) {
+    Release();
+    slot_ = std::exchange(other.slot_, nullptr);
+  }
+  return *this;
+}
+
+void EpochPin::Release() {
+  if (slot_ != nullptr) UnpinAndFree(std::exchange(slot_, nullptr));
 }
 
 }  // namespace colt

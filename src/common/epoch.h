@@ -11,6 +11,8 @@
 
 namespace colt {
 
+class EpochPin;
+
 /// Epoch-based memory reclamation (DESIGN.md §15).
 ///
 /// The serving layer reads B+-trees from many threads while the owner
@@ -19,11 +21,12 @@ namespace colt {
 /// list stamped with the current global epoch, and the memory is released
 /// only once every reader that could still hold a pointer into it has
 /// moved on. Readers declare their liveness by pinning an `EpochGuard`
-/// around each query.
+/// around each query, or by holding an `EpochPin`, which no thread owns.
 ///
 /// The protocol is the classic three-generation scheme:
-///  * Readers pin the current global epoch E into a per-thread slot
-///    (lock-free: one seq_cst store) and unpin when done.
+///  * Readers pin the current global epoch E into a slot of their thread
+///    or of their EpochPin (lock-free: one seq_cst store) and unpin when
+///    done.
 ///  * Retire(p) stamps p with the global epoch at retirement time. The
 ///    object must already be unreachable from the published roots (the
 ///    caller unlinks first, retires second), so only readers pinned at
@@ -39,18 +42,20 @@ namespace colt {
 /// cannot reach retired objects at all.
 ///
 /// Reclamation runs only inside TryReclaim()/ReclaimAll(), which the
-/// owner thread calls at publish boundaries (Database install/drop) and
-/// teardown — readers never free, so the read path stays wait-free apart
-/// from the version-spin in the tree itself.
+/// owner thread calls at publish boundaries (Database install/drop), when
+/// the serve loop drops a segment's pin, and at teardown — readers never
+/// free, so the read path stays wait-free apart from the version-spin in
+/// the tree itself.
 class EpochManager {
  public:
-  /// Per-thread pin state. Slots are claimed lazily on a thread's first
-  /// pin and released when the thread exits, so short-lived pool threads
-  /// recycle them.
+  /// Pin state of one thread or one EpochPin. A thread claims a slot
+  /// lazily on its first EpochGuard and releases it when it exits, so
+  /// short-lived pool threads recycle them; an EpochPin claims one when it
+  /// is taken and releases it when it is dropped.
   struct Slot {
     /// 0 = unpinned; otherwise (epoch << 1) | 1.
     std::atomic<uint64_t> state{0};
-    /// Claimed by exactly one live thread at a time.
+    /// Claimed by exactly one live thread or pin at a time.
     std::atomic<bool> claimed{false};
   };
 
@@ -79,6 +84,11 @@ class EpochManager {
     RetireRaw(const_cast<Mutable*>(p),
               [](void* q) { DeleteRetired(static_cast<Mutable*>(q)); });
   }
+
+  /// Pins the current epoch into a slot of its own and returns the pin,
+  /// which any thread may later release (see EpochPin). Aborts when every
+  /// slot is taken by threads and pins.
+  COLT_THREAD_NEUTRAL EpochPin Pin();
 
   /// Type-erased retire; `deleter` is invoked at reclaim time.
   COLT_THREAD_NEUTRAL void RetireRaw(void* p, void (*deleter)(void*));
@@ -129,6 +139,12 @@ class EpochManager {
   /// Claims (or returns the already-claimed) slot for this thread.
   COLT_THREAD_NEUTRAL Slot* ClaimSlot();
 
+  /// Claims a free slot for a new owner (a thread or an EpochPin).
+  COLT_THREAD_NEUTRAL Slot* ClaimFreeSlot();
+
+  /// Pins the current epoch into `slot`.
+  COLT_THREAD_NEUTRAL void PinCurrentEpoch(Slot* slot);
+
   std::atomic<uint64_t> global_epoch_{1};
   Slot slots_[kMaxThreads];
   std::atomic<int64_t> reclaimed_total_{0};
@@ -152,6 +168,36 @@ class EpochGuard {
  private:
   /// Null for nested guards (the outer guard owns the slot state).
   EpochManager::Slot* slot_;
+};
+
+/// A movable epoch pin that no thread owns (EpochManager::Pin). It pins
+/// the epoch current when it was taken, in a slot of its own, until it is
+/// released or destroyed on whichever thread holds it then; that thread
+/// unpins and frees the slot. Unlike EpochGuard it does not nest and is
+/// not tied to the calling thread, so one thread may hold many: the serve
+/// loop keeps one per in-flight segment and drops it when the segment's
+/// last query completes (DESIGN.md §15). An EpochGuard on the same thread
+/// is unaffected by any pin.
+class EpochPin {
+ public:
+  /// An empty pin that holds nothing.
+  EpochPin() = default;
+  EpochPin(EpochPin&& other) noexcept;
+  EpochPin& operator=(EpochPin&& other) noexcept;
+  EpochPin(const EpochPin&) = delete;
+  EpochPin& operator=(const EpochPin&) = delete;
+  ~EpochPin() { Release(); }
+
+  /// Unpins and frees the slot; a no-op on an empty pin.
+  COLT_THREAD_NEUTRAL void Release();
+
+  bool held() const { return slot_ != nullptr; }
+
+ private:
+  friend class EpochManager;
+  explicit EpochPin(EpochManager::Slot* slot) : slot_(slot) {}
+
+  EpochManager::Slot* slot_ = nullptr;
 };
 
 }  // namespace colt

@@ -226,11 +226,10 @@ TuningStep ColtTuner::OnQuery(const Query& q) {
       // counts are the executor's concern; tuning statistics above use
       // only the model estimates.
       Executor executor(db_);
-      const Result<ExecutionResult> applied =
-          executor.ExecuteWrite(db_, q, step.plan.plan.get());
-      if (!applied.ok()) {
+      step.applied_write = executor.ExecuteWrite(db_, q, step.plan.plan.get());
+      if (!step.applied_write->ok()) {
         COLT_LOG(Error) << "write application failed: "
-                        << applied.status().ToString();
+                        << step.applied_write->status().ToString();
       }
     }
   } else {

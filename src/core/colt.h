@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -21,6 +22,7 @@
 #include "core/scheduler.h"
 #include "core/self_organizer.h"
 #include "core/write_stats.h"
+#include "exec/executor.h"
 #include "optimizer/optimizer.h"
 #include "query/query.h"
 #include "storage/database.h"
@@ -47,6 +49,11 @@ struct TuningStep {
   /// Build time charged for attempts that failed (kBuildFailed), seconds.
   /// Wasted work: it still occupies the timeline, but produced no index.
   double wasted_build_seconds = 0.0;
+  /// For a write the tuner applied to its database: the executor's
+  /// measured result, or the error that stopped it. Unset for reads and
+  /// for writes the tuner only priced (no database attached, or the
+  /// target table holds no data).
+  std::optional<Result<ExecutionResult>> applied_write;
   /// Configuration changes performed after this query.
   std::vector<IndexAction> actions;
   int whatif_calls = 0;

@@ -145,7 +145,7 @@ TEST(ConcurrencyStressTest, ServingRacesLiveTunerReconfiguration) {
   ServeOptions options;
   options.client_threads = 4;
   options.pin_threads = false;
-  // Per-epoch audit at the quiescent join: every installed tree passes
+  // Per-epoch audit at the quiescent drain: every installed tree passes
   // full structural validation, and the configuration history is
   // recorded to prove the reconfiguration actually overlapped serving.
   std::vector<std::vector<IndexId>> config_history;

@@ -174,8 +174,13 @@ TEST(CheckpointStoreTest, CorruptNewestFallsBackToPreviousGeneration) {
   ASSERT_TRUE(data.ok()) << data.status().ToString();
   EXPECT_EQ(data->epoch, 1);
   EXPECT_EQ(data->payload, "old-but-valid");
+  // A build with metrics compiled out counts nothing.
+#ifndef COLT_DISABLE_METRICS
   EXPECT_EQ(corrupt->value(), before + 1)
       << "a committed-but-corrupt candidate must be counted";
+#else
+  EXPECT_EQ(corrupt->value(), before);
+#endif
 }
 
 TEST(CheckpointStoreTest, AllSnapshotsCorruptDegradesToNotFound) {
