@@ -16,30 +16,19 @@
 #include "storage/tpch_schema.h"
 
 int main(int argc, char** argv) {
-  // --workers=N fans what-if probes and index builds across N pool
-  // workers. Results are bit-identical for every N (DESIGN.md §10); CI
-  // diffs this binary's CSVs across worker counts to prove it.
-  // --cache-bytes=N sets the what-if plan cache budget (0 disables;
-  // DESIGN.md §11). CI also diffs cache-on vs cache-off CSVs: neither
-  // knob may change a single output byte.
   // --state-dir=DIR checkpoints tuner state there every epoch (DESIGN.md
   // §12; empty disables). Commits happen outside the tuning math, so CI
-  // diffs persistence-on vs persistence-off CSVs the same way.
+  // diffs persistence-on vs persistence-off CSVs: the knob may not change
+  // a single output byte.
   // --obs-dir=DIR enables the decision-provenance recorder plus per-epoch
   // metrics snapshots and writes the live-introspection export there
   // (DESIGN.md §13: provenance.jsonl, metrics.prom, epoch_NNNN.jsonl) for
   // tools/colt_explain and tools/colt_top. Provenance is record-only, so
-  // CI diffs obs-on vs obs-off CSVs like the other knobs.
-  int workers = 0;
-  long long cache_bytes = 8LL * 1024 * 1024;
+  // CI diffs obs-on vs obs-off CSVs the same way.
   std::string state_dir;
   std::string obs_dir;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      workers = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--cache-bytes=", 14) == 0) {
-      cache_bytes = std::atoll(argv[i] + 14);
-    } else if (std::strncmp(argv[i], "--state-dir=", 12) == 0) {
+    if (std::strncmp(argv[i], "--state-dir=", 12) == 0) {
       state_dir = argv[i] + 12;
     } else if (std::strncmp(argv[i], "--obs-dir=", 10) == 0) {
       obs_dir = argv[i] + 10;
@@ -67,15 +56,15 @@ int main(int argc, char** argv) {
   }
   const int64_t budget =
       colt::BudgetForIndexes(catalog, relevant.value(), 4.0);
+  // The tuner runs single-threaded; "workers = 0" keeps the header line
+  // of earlier runs comparable byte for byte.
   std::printf("Figure 3 (stable workload): %d queries, %zu relevant indexes, "
-              "budget = %.1f MB, workers = %d\n\n",
+              "budget = %.1f MB, workers = 0\n\n",
               kQueries, relevant.value().size(),
-              budget / (1024.0 * 1024.0), workers);
+              budget / (1024.0 * 1024.0));
 
   colt::ColtConfig config;
   config.storage_budget_bytes = budget;
-  config.num_workers = workers;
-  config.whatif_cache_bytes = cache_bytes;
   config.state_dir = state_dir;
   if (!obs_dir.empty()) {
     config.provenance_events = 1 << 16;

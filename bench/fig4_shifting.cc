@@ -5,7 +5,6 @@
 /// execution time, 49% lower in phase 2), because OFFLINE must pick one
 /// configuration that is only good on average.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -16,20 +15,11 @@
 #include "storage/tpch_schema.h"
 
 int main(int argc, char** argv) {
-  // --workers= / --cache-bytes= mirror fig3_stable: neither may change a
-  // single output byte (DESIGN.md §10/§11). --obs-dir=DIR enables the
-  // decision-provenance recorder and writes the introspection export
-  // there (DESIGN.md §13); the determinism test diffs provenance.jsonl
-  // across worker counts and cache settings on exactly this workload.
-  int workers = 0;
-  long long cache_bytes = 8LL * 1024 * 1024;
+  // --obs-dir=DIR enables the decision-provenance recorder and writes the
+  // introspection export there (DESIGN.md §13).
   std::string obs_dir;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      workers = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--cache-bytes=", 14) == 0) {
-      cache_bytes = std::atoll(argv[i] + 14);
-    } else if (std::strncmp(argv[i], "--obs-dir=", 10) == 0) {
+    if (std::strncmp(argv[i], "--obs-dir=", 10) == 0) {
       obs_dir = argv[i] + 10;
     }
   }
@@ -68,8 +58,6 @@ int main(int argc, char** argv) {
 
   colt::ColtConfig config;
   config.storage_budget_bytes = budget;
-  config.num_workers = workers;
-  config.whatif_cache_bytes = cache_bytes;
   if (!obs_dir.empty()) {
     config.provenance_events = 1 << 16;
     config.epoch_metrics_snapshot = true;

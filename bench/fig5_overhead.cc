@@ -21,14 +21,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "bench_json.h"
 #include "common/status.h"
 #include "common/metrics.h"
 #include "common/provenance.h"
-#include "common/thread_pool.h"
 #include "common/tracing.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
@@ -278,135 +276,6 @@ int main(int argc, char** argv) {
   std::printf("trace_spans=%zu dropped=%lld\n", tracer.Spans().size(),
               static_cast<long long>(tracer.dropped()));
 
-  // ---- Parallel what-if speedup (DESIGN.md §10). A probe-heavy config
-  // (#WI_max raised so the per-query live set is worth chunking) runs
-  // serial and with 4 workers; the compared quantity is the wall-clock
-  // spent inside the Profiler's what-if section
-  // (profiler.whatif_wall.seconds), min-of-N per mode. The epoch CSVs of
-  // the two modes must be byte-identical — the speedup may never buy a
-  // different answer.
-  colt::ColtConfig heavy = config;
-  heavy.max_whatif_per_epoch = 200;
-  // The plan cache would short-circuit most repeat probes and leave the
-  // pool nothing to parallelize; this pass measures the fan-out itself,
-  // so it runs uncached (the cache gets its own gate below).
-  heavy.whatif_cache_bytes = 0;
-  auto heavy_pass = [&](int workers, std::string* epoch_csv) {
-    heavy.num_workers = workers;
-    registry.Reset();
-    registry.set_enabled(true);
-    const colt::ColtRunResult heavy_run =
-        colt::RunColtWorkload(&catalog, workload, heavy);
-    registry.set_enabled(false);
-    if (epoch_csv != nullptr) {
-      std::ostringstream out;
-      colt::ColtIgnoreStatus(colt::WriteEpochReportCsv(heavy_run.epochs, out));
-      *epoch_csv = out.str();
-    }
-    return HistSum(registry.Snapshot(), "profiler.whatif_wall.seconds");
-  };
-  std::string serial_csv, parallel_csv;
-  double serial_whatif = 0.0, parallel_whatif = 0.0;
-  const int speedup_repeats = 3;
-  for (int i = 0; i < speedup_repeats; ++i) {
-    const double s = heavy_pass(0, i == 0 ? &serial_csv : nullptr);
-    if (i == 0 || s < serial_whatif) serial_whatif = s;
-    const double p = heavy_pass(4, i == 0 ? &parallel_csv : nullptr);
-    if (i == 0 || p < parallel_whatif) parallel_whatif = p;
-  }
-  const double speedup =
-      parallel_whatif > 0.0 ? serial_whatif / parallel_whatif : 0.0;
-  const int hw = colt::ThreadPool::HardwareConcurrency();
-  const bool csv_identical = serial_csv == parallel_csv;
-  std::printf("\nParallel what-if profiling (workers=4 vs serial, min of %d "
-              "passes):\n  serial %.4f s, parallel %.4f s\n",
-              speedup_repeats, serial_whatif, parallel_whatif);
-  std::printf("hardware_concurrency=%d\n", hw);
-  std::printf("parallel_whatif_speedup=%.3f\n", speedup);
-  std::printf("parallel_epoch_csv_identical=%s\n",
-              csv_identical ? "ok" : "FAILED");
-
-  // ---- Cross-epoch what-if plan cache (DESIGN.md §11). A recurring
-  // stable-phase workload — a fixed pool of distinct queries reissued at
-  // random, the canned-report/dashboard shape the cache exists for — runs
-  // cache-off and cache-on under a probe-heavy config. Compared: the
-  // what-if wall-clock (min-of-N), the hit rate of the cache-on pass, and
-  // (mandatory) byte-identical epoch CSVs — the cache may only buy time,
-  // never a different answer.
-  colt::WorkloadGenerator cache_gen(&catalog, /*seed=*/4242);
-  std::vector<colt::Query> pool;
-  for (int i = 0; i < 25; ++i) pool.push_back(cache_gen.Sample(dists[0]));
-  const int stable_n = smoke ? 400 : 1200;
-  std::vector<colt::Query> stable;
-  stable.reserve(static_cast<size_t>(stable_n));
-  colt::Rng pick(/*seed=*/777);
-  for (int i = 0; i < stable_n; ++i) {
-    colt::Query q = pool[pick.NextBelow(pool.size())];
-    q.set_id(i);
-    stable.push_back(q);
-  }
-  colt::ColtConfig cache_cfg = config;
-  // Probe every relevant pair every time: re-budgeting and adaptive
-  // sampling would throttle the stable phase to a trickle of what-if
-  // calls, and this gate wants the cache under real load.
-  cache_cfg.enable_rebudgeting = false;
-  cache_cfg.enable_adaptive_sampling = false;
-  cache_cfg.uniform_sample_rate = 1.0;
-  cache_cfg.max_whatif_per_epoch = 200;
-  int64_t cache_sc = 0, cache_hits = 0, cache_misses = 0;
-  auto cache_pass = [&](int64_t cache_bytes, std::string* epoch_csv,
-                        bool record_counters) {
-    cache_cfg.whatif_cache_bytes = cache_bytes;
-    registry.Reset();
-    registry.set_enabled(true);
-    const colt::ColtRunResult r =
-        colt::RunColtWorkload(&catalog, stable, cache_cfg);
-    registry.set_enabled(false);
-    if (epoch_csv != nullptr) {
-      std::ostringstream out;
-      colt::ColtIgnoreStatus(colt::WriteEpochReportCsv(r.epochs, out));
-      *epoch_csv = out.str();
-    }
-    if (record_counters) {
-      cache_sc = registry
-                     .GetCounter("profiler.whatif_cache.shortcircuit_hits")
-                     ->value();
-      cache_hits = registry.GetCounter("optimizer.whatif_cache.hits")->value();
-      cache_misses =
-          registry.GetCounter("optimizer.whatif_cache.misses")->value();
-    }
-    return HistSum(registry.Snapshot(), "profiler.whatif_wall.seconds");
-  };
-  std::string cache_off_csv, cache_on_csv;
-  double cache_off_whatif = 0.0, cache_on_whatif = 0.0;
-  for (int i = 0; i < speedup_repeats; ++i) {
-    const double off = cache_pass(0, i == 0 ? &cache_off_csv : nullptr, false);
-    if (i == 0 || off < cache_off_whatif) cache_off_whatif = off;
-    const double on = cache_pass(8LL * 1024 * 1024,
-                                 i == 0 ? &cache_on_csv : nullptr, i == 0);
-    if (i == 0 || on < cache_on_whatif) cache_on_whatif = on;
-  }
-  const int64_t cache_lookups = cache_sc + cache_hits + cache_misses;
-  const double cache_hit_rate =
-      cache_lookups > 0
-          ? static_cast<double>(cache_sc + cache_hits) / cache_lookups
-          : 0.0;
-  const double cache_speedup =
-      cache_on_whatif > 0.0 ? cache_off_whatif / cache_on_whatif : 0.0;
-  const bool cache_csv_identical = cache_off_csv == cache_on_csv;
-  std::printf("\nWhat-if plan cache (recurring stable workload, min of %d "
-              "passes):\n  cache off %.4f s, cache on %.4f s of what-if "
-              "wall\n  %lld short-circuit + %lld optimizer hits / %lld "
-              "lookups\n",
-              speedup_repeats, cache_off_whatif, cache_on_whatif,
-              static_cast<long long>(cache_sc),
-              static_cast<long long>(cache_hits),
-              static_cast<long long>(cache_lookups));
-  std::printf("whatif_cache_hit_rate=%.3f\n", cache_hit_rate);
-  std::printf("whatif_cache_speedup=%.3f\n", cache_speedup);
-  std::printf("whatif_cache_epoch_csv_identical=%s\n",
-              cache_csv_identical ? "ok" : "FAILED");
-
   // ---- Machine-readable results: one JSONL record per headline metric,
   // written as BENCH_fig5.json into COLT_CSV_DIR (or the working
   // directory) so CI can track figures without scraping stdout.
@@ -422,9 +291,6 @@ int main(int argc, char** argv) {
     add("breakdown_component_sum_s", component_sum, "seconds");
     add("breakdown_on_query_total_s", on_query_s, "seconds");
     add("breakdown_coverage", coverage, "ratio");
-    add("parallel_whatif_speedup", speedup, "ratio");
-    add("whatif_cache_hit_rate", cache_hit_rate, "ratio");
-    add("whatif_cache_speedup", cache_speedup, "ratio");
     add("total_whatif_calls", static_cast<double>(total_calls), "count");
     if (!colt::bench_json::Write("BENCH_fig5.json", records)) {
       std::printf("FAILED: could not write BENCH_fig5.json\n");
@@ -434,35 +300,6 @@ int main(int argc, char** argv) {
   }
 
   if (!metrics_roundtrip_ok || !trace_roundtrip_ok) return 1;
-  if (!csv_identical) {
-    std::printf("FAILED: parallel epoch CSV differs from serial\n");
-    return 1;
-  }
-  if (!cache_csv_identical) {
-    std::printf("FAILED: cache-on epoch CSV differs from cache-off\n");
-    return 1;
-  }
-  if (cache_hit_rate <= 0.5) {
-    std::printf("FAILED: what-if cache hit rate %.3f below the 0.5 gate on "
-                "a recurring workload\n", cache_hit_rate);
-    return 1;
-  }
-  if (cache_speedup < 1.2) {
-    std::printf("FAILED: what-if cache speedup %.3f below the 1.2x gate\n",
-                cache_speedup);
-    return 1;
-  }
-  // The wall-clock gate needs real cores; on smaller machines the number
-  // is still printed for the record but only determinism is enforced.
-  if (hw >= 4) {
-    if (speedup < 1.5) {
-      std::printf("FAILED: parallel what-if speedup %.3f below the 1.5x "
-                  "gate on a %d-core machine\n", speedup, hw);
-      return 1;
-    }
-  } else {
-    std::printf("speedup gate skipped: %d hardware threads < 4\n", hw);
-  }
   // The breakdown must explain the OnQuery total: components within 10%.
   if (on_query_s > 0.0 && (coverage < 0.9 || coverage > 1.1)) {
     std::printf("FAILED: breakdown components do not sum to within 10%% of "

@@ -67,17 +67,11 @@ bool Contains(const std::vector<colt::IndexId>& ids, colt::IndexId id) {
 int main(int argc, char** argv) {
   bool smoke = false;
   bool debug = false;
-  int workers = 0;
-  long long cache_bytes = 8LL * 1024 * 1024;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--debug") == 0) {
       debug = true;
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      workers = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--cache-bytes=", 14) == 0) {
-      cache_bytes = std::atoll(argv[i] + 14);
     }
   }
 
@@ -131,8 +125,6 @@ int main(int argc, char** argv) {
 
   colt::ColtConfig config;
   config.storage_budget_bytes = budget;
-  config.num_workers = workers;
-  config.whatif_cache_bytes = cache_bytes;
   config.charge_index_maintenance = true;  // the default, stated for clarity
   if (debug) config.provenance_events = 1 << 16;
   const colt::ColtRunResult charged =

@@ -252,10 +252,9 @@ void Catalog::SaveState(BinaryWriter* writer) const {
       writer->WriteI64(ref.column);
     }
   }
-  writer->WriteU64(version_);
 }
 
-Status Catalog::LoadState(BinaryReader* reader, uint64_t* version) {
+Status Catalog::LoadState(BinaryReader* reader) {
   COLT_RETURN_IF_ERROR(reader->ExpectTag(kCatalogSectionTag));
   uint64_t fingerprint = 0;
   COLT_RETURN_IF_ERROR(reader->ReadU64(&fingerprint));
@@ -294,7 +293,6 @@ Status Catalog::LoadState(BinaryReader* reader, uint64_t* version) {
           std::to_string(id) + " recreated as " + std::to_string(desc->id));
     }
   }
-  COLT_RETURN_IF_ERROR(reader->ReadU64(version));
   return Status::OK();
 }
 

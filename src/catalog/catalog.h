@@ -9,7 +9,6 @@
 #include "catalog/types.h"
 #include "common/persist/serializer.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 
 namespace colt {
 
@@ -126,50 +125,28 @@ class Catalog {
   IndexDescriptor EstimateCompositeIndex(
       const std::vector<ColumnRef>& columns) const;
 
-  /// Monotonic counter over everything the cost model reads: bumped on any
-  /// real index install/drop and on statistics refresh (Database and
-  /// Scheduler call BumpVersion at those points). The what-if plan cache
-  /// tags every entry with the version it was computed under and treats a
-  /// mismatch as a miss, so invalidation is precise (DESIGN.md §11).
-  /// Creating descriptors lazily (IndexOn) does NOT bump: a new descriptor
-  /// cannot appear in any already-cached configuration.
-  COLT_WORKER_SAFE uint64_t version() const { return version_; }
-  /// Records a catalog change that can affect optimizer cost estimates.
-  /// Owner-only: version motion while workers Peek the what-if cache would
-  /// turn their hit/miss decisions schedule-dependent.
-  COLT_OWNER_ONLY void BumpVersion() { ++version_; }
-  /// Overwrites the version counter with a persisted value. Recovery calls
-  /// this LAST, after index rebuilds have bumped the live counter, so the
-  /// restored run continues the exact counter sequence of the original.
-  COLT_OWNER_ONLY void RestoreVersion(uint64_t version) {
-    version_ = version;
-  }
-
-  /// Content hash of schemas + column statistics (not descriptors, not the
-  /// version counter). Recovery uses it to verify that the restart rebuilt
-  /// the same environment the checkpoint was taken in.
+  /// Content hash of schemas + column statistics (not descriptors).
+  /// Recovery uses it to verify that the restart rebuilt the same
+  /// environment the checkpoint was taken in.
   uint64_t Fingerprint() const;
 
-  /// Serializes the fingerprint, every index descriptor (column lists, in
-  /// ascending id order — ids are assigned in creation order, so recovery
-  /// must replay creations in that order), and the version counter.
+  /// Serializes the fingerprint and every index descriptor (column lists,
+  /// in ascending id order — ids are assigned in creation order, so
+  /// recovery must replay creations in that order).
   void SaveState(BinaryWriter* writer) const;
 
   /// Restores descriptors into this (already rebuilt) catalog: verifies
   /// the fingerprint matches, replays IndexOn/CompositeIndexOn in
   /// persisted id order, and confirms each id lands where it did in the
-  /// original run. The persisted version counter is returned through
-  /// `version` for the caller to apply (via RestoreVersion) once dependent
-  /// components finish their own recovery. kFailedPrecondition on
-  /// fingerprint mismatch; kInvalidArgument on malformed bytes.
-  Status LoadState(BinaryReader* reader, uint64_t* version);
+  /// original run. kFailedPrecondition on fingerprint mismatch;
+  /// kInvalidArgument on malformed bytes.
+  Status LoadState(BinaryReader* reader);
 
  private:
   std::vector<TableSchema> tables_;
   /// Key: FNV over the packed column list (single or composite).
   std::unordered_map<uint64_t, IndexId> index_by_column_;
   std::unordered_map<IndexId, IndexDescriptor> index_by_id_;
-  uint64_t version_ = 1;
 };
 
 }  // namespace colt

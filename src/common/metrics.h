@@ -206,7 +206,7 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot);
 /// Parallel code follows the per-worker-buffer rule (DESIGN.md §10): each
 /// pool worker records into a private registry it exclusively owns, and
 /// the owning thread folds those buffers into the main registry with
-/// MergeFrom() at epoch boundaries, while the workers are quiescent.
+/// MergeFrom() once the workers are quiescent.
 /// Default() is the main thread's registry and must not be touched from
 /// worker tasks.
 class MetricsRegistry {
@@ -217,7 +217,7 @@ class MetricsRegistry {
 
   /// The process-wide registry the tuning stack instruments against.
   /// Owner-only: worker code instruments its per-worker registry, merged
-  /// at the epoch boundary in slot order (DESIGN.md §10).
+  /// in worker order once the workers are quiescent (DESIGN.md §10).
   COLT_OWNER_ONLY static MetricsRegistry& Default();
 
   bool enabled() const { return enabled_; }

@@ -88,7 +88,7 @@ class CheckpointStore {
   }
 
   /// Snapshot/WAL format version; bumped on incompatible layout changes.
-  static constexpr uint32_t kFormatVersion = 1;
+  static constexpr uint32_t kFormatVersion = 2;
 
   /// Path of the snapshot file for `generation` (0 or 1). Exposed for
   /// tests that corrupt snapshots on purpose.

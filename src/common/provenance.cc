@@ -104,26 +104,6 @@ void ProvenanceRecorder::Sink(ProvenanceEvent event) {
   }
 }
 
-void ProvenanceRecorder::MergeFrom(ProvenanceRecorder* other) {
-  if (other == nullptr) return;
-  for (ProvenanceEvent& event : other->ring_) {
-    // Re-stamp the id into this recorder's sequence; the event keeps the
-    // epoch/query context it was recorded under.
-    event.id = next_id_++;
-    ++counts_[event.name];
-    ring_.push_back(std::move(event));
-    while (static_cast<int64_t>(ring_.size()) > capacity_) {
-      ring_.pop_front();
-      ++dropped_;
-    }
-  }
-  dropped_ += other->dropped_;
-  other->ring_.clear();
-  other->counts_.clear();
-  other->next_id_ = 0;
-  other->dropped_ = 0;
-}
-
 std::vector<ProvenanceEvent> ProvenanceRecorder::Drain() {
   std::vector<ProvenanceEvent> out(std::make_move_iterator(ring_.begin()),
                                    std::make_move_iterator(ring_.end()));

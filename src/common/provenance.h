@@ -13,12 +13,9 @@
 /// and replay into per-index decision timelines (tools/colt_explain).
 ///
 /// Determinism contract: the recorder is single-writer like the metrics
-/// registry. All pipeline emission happens on the owner thread in
-/// replay-stable order (worker-computed what-if gains are recorded on
-/// the owner in candidate order, DESIGN.md §10), so the default event
-/// stream is byte-identical across `num_workers` and
-/// `whatif_cache_bytes` settings. Worker-side buffers, when used, fold
-/// in via MergeFrom() at epoch boundaries in deterministic task order.
+/// registry. All pipeline emission happens on the tuning thread in
+/// replay-stable order (what-if gains are recorded in probe order), so a
+/// run's event stream is a function of its inputs and seed alone.
 
 #include <cstdint>
 #include <deque>
@@ -120,15 +117,8 @@ class ProvenanceRecorder {
   /// Starts a new event; annotate via the returned builder. The event
   /// name must be a dotted snake_case string literal at the call site
   /// (enforced by colt_lint, same policy as metric names).
-  /// Owner-only: the flight recorder is single-writer; workers return data
-  /// and the owner records the decision (DESIGN.md §13).
+  /// Owner-only: the flight recorder is single-writer (DESIGN.md §13).
   COLT_OWNER_ONLY EventBuilder RecordEvent(std::string_view name);
-
-  /// Folds another recorder's buffered events into this one, re-stamping
-  /// decision ids in this recorder's sequence. Call at epoch boundaries
-  /// in deterministic task order (per-worker-buffer rule, DESIGN.md §10);
-  /// `other` is left empty.
-  COLT_OWNER_ONLY void MergeFrom(ProvenanceRecorder* other);
 
   /// Moves the buffered events out (oldest first). Lifetime counters and
   /// the id sequence survive, so a drained recorder keeps appending to

@@ -12,9 +12,9 @@
 ///    graph and proves that pool-executed code never reaches owner-only
 ///    APIs, never emits provenance, never touches the default metrics
 ///    registry, and never draws randomness outside ThreadPool::TaskRng.
-///    The determinism guarantees of DESIGN.md §10 (bit-identical CSVs at
-///    every worker count) rest on this discipline; annotating it makes it
-///    machine-checked instead of reviewer-remembered.
+///    The determinism guarantees of DESIGN.md §10 (bit-identical results
+///    at every client count) rest on this discipline; annotating it makes
+///    it machine-checked instead of a convention to remember.
 ///
 ///    Placement: immediately before the declaration (preferred, in the
 ///    header) or the definition. A definition inherits the role of its
@@ -36,10 +36,10 @@
 /// provenance, touch MetricsRegistry::Default(), and call anything.
 #define COLT_OWNER_ONLY
 
-/// May run on a pool worker during a fan-out. Must not call owner-only
-/// APIs, emit provenance events, touch the default metrics registry, or
-/// draw from any RNG other than a ThreadPool::TaskRng stream. A const
-/// worker-safe method must stay genuinely pure (no mutable-member writes).
+/// May run on a pool worker. Must not call owner-only APIs, emit
+/// provenance events, touch the default metrics registry, or draw from
+/// any RNG other than a ThreadPool::TaskRng stream. A const worker-safe
+/// method must stay genuinely pure (no mutable-member writes).
 #define COLT_WORKER_SAFE
 
 /// Stateless (or per-object, caller-synchronized) helper callable from any

@@ -19,9 +19,9 @@ namespace colt {
 
 /// Fixed-size worker pool with deterministic, ordered result-merging.
 ///
-/// Parallelism in this codebase must never change observable results: the
-/// Fig. 3-6 experiments are compared bit-for-bit between serial and
-/// parallel runs (see DESIGN.md §10). The pool supports that contract by
+/// Parallelism in this codebase must never change observable results:
+/// served queries are compared bit-for-bit between one client and many
+/// (see DESIGN.md §10). The pool supports that contract by
 /// construction rather than by locking discipline:
 ///
 ///  * Map() joins futures in submission order, so the merged result vector
@@ -46,8 +46,8 @@ class ThreadPool {
   /// Spawns `num_workers` worker threads; values < 1 mean inline mode (no
   /// threads, Submit runs on the caller). With `pin_workers` set, worker i
   /// is pinned to CPU (i mod hardware cores) — the serving layer uses this
-  /// to stabilize tail latency; tuning pools leave it off. Pinning is
-  /// best-effort and a no-op on non-Linux platforms.
+  /// to stabilize tail latency. Pinning is best-effort and a no-op on
+  /// non-Linux platforms.
   explicit ThreadPool(int num_workers, bool pin_workers = false);
 
   ThreadPool(const ThreadPool&) = delete;
@@ -62,7 +62,7 @@ class ThreadPool {
 
   /// Schedules `fn` and returns its future. Inline mode runs `fn` before
   /// returning (the future is already ready). Owner-only: tasks are
-  /// submitted by the tuning thread; workers never spawn sub-tasks (the
+  /// submitted by the owning thread; workers never spawn sub-tasks (the
   /// deterministic join order of DESIGN.md §10 assumes one submitter).
   template <typename Fn>
   COLT_OWNER_ONLY auto Submit(Fn fn) -> std::future<std::invoke_result_t<Fn&>> {

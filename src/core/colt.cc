@@ -31,9 +31,6 @@ ColtTuner::ColtTuner(Catalog* catalog, QueryOptimizer* optimizer,
       db_(db),
       config_(config),
       faults_(config.fault),
-      pool_(config.num_workers > 0
-                ? std::make_unique<ThreadPool>(config.num_workers)
-                : nullptr),
       provenance_(kProvenanceCompiledIn && config.provenance_events > 0
                       ? std::make_unique<ProvenanceRecorder>(
                             config.provenance_events)
@@ -44,8 +41,7 @@ ColtTuner::ColtTuner(Catalog* catalog, QueryOptimizer* optimizer,
       candidates_(config.history_depth, config.crude_smoothing_alpha),
       forecaster_(config.history_depth),
       profiler_(catalog, optimizer, &clusters_, &hot_stats_, &mat_stats_,
-                &candidates_, &config_, seed, &faults_, pool_.get(),
-                provenance_.get()),
+                &candidates_, &config_, seed, &faults_, provenance_.get()),
       self_organizer_(catalog, optimizer, &clusters_, &hot_stats_,
                       &mat_stats_, &candidates_, &forecaster_, &profiler_,
                       &config_, provenance_.get(), &write_stats_),
@@ -55,7 +51,7 @@ ColtTuner::ColtTuner(Catalog* catalog, QueryOptimizer* optimizer,
                                         config.build_backoff_base_rounds,
                                         config.max_build_backoff_rounds,
                                         config.quarantine_cooldown_rounds},
-                 pool_.get(), provenance_.get()),
+                 provenance_.get()),
       whatif_limit_(config.max_whatif_per_epoch) {
   if (!config_.state_dir.empty()) {
     CheckpointStore::Options options;
@@ -346,9 +342,8 @@ TuningStep ColtTuner::OnQuery(const Query& q) {
     ++epoch_;
 
     // Durability point: every component is at its epoch-boundary rest
-    // state (usage counts cleared, cache segments merged), so the
-    // serialized snapshot is exactly the state an uninterrupted run
-    // carries into epoch_.
+    // state (usage counts cleared), so the serialized snapshot is exactly
+    // the state an uninterrupted run carries into epoch_.
     if (checkpoint_ != nullptr) PersistEpochState();
   }
   return step;
@@ -389,14 +384,12 @@ uint64_t ColtTuner::ConfigFingerprint() const {
   w.WriteBool(config_.conservative_estimates);
   w.WriteBool(config_.use_greedy_knapsack);
   w.WriteDouble(config_.conservative_floor_fraction);
-  w.WriteI64(config_.whatif_cache_bytes);
   // Deliberately excluded: storage_budget_bytes (mutable at runtime via
-  // budget.shrink faults; persisted as live state instead), num_workers,
-  // epoch_metrics_snapshot, provenance_events and
-  // provenance_annotate_origin (bit-identical tuning results at any
-  // value — a resumed run may toggle observability freely), the fault
-  // plan (a resumed run may drop the crash rules that killed its
-  // predecessor), and state_dir itself.
+  // budget.shrink faults; persisted as live state instead),
+  // epoch_metrics_snapshot and provenance_events (bit-identical tuning
+  // results at any value — a resumed run may toggle observability
+  // freely), the fault plan (a resumed run may drop the crash rules that
+  // killed its predecessor), and state_dir itself.
   return Fnv1a64(w.buffer());
 }
 
@@ -499,8 +492,7 @@ Status ColtTuner::LoadState(BinaryReader* reader) {
   COLT_RETURN_IF_ERROR(reader->ReadDouble(&wasted_build_reported));
 
   COLT_RETURN_IF_ERROR(faults_.LoadState(reader));
-  uint64_t catalog_version = 0;
-  COLT_RETURN_IF_ERROR(catalog_->LoadState(reader, &catalog_version));
+  COLT_RETURN_IF_ERROR(catalog_->LoadState(reader));
   COLT_RETURN_IF_ERROR(clusters_.LoadState(reader));
   COLT_RETURN_IF_ERROR(hot_stats_.LoadState(reader));
   COLT_RETURN_IF_ERROR(mat_stats_.LoadState(reader));
@@ -562,10 +554,6 @@ Status ColtTuner::LoadState(BinaryReader* reader) {
   if (provenance_ != nullptr && snapshot_has_provenance) {
     provenance_reported_ = provenance_reported;
   }
-  // Last: the catalog replay and index rebuilds above bumped the live
-  // version counter; pin it back to the snapshot's value so what-if cache
-  // entries stay valid exactly as they were at the checkpoint.
-  catalog_->RestoreVersion(catalog_version);
   return Status::OK();
 }
 

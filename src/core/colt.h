@@ -12,7 +12,6 @@
 #include "common/persist/serializer.h"
 #include "common/provenance.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "core/candidates.h"
 #include "core/clustering.h"
 #include "core/config.h"
@@ -255,10 +254,6 @@ class ColtTuner {
   Database* db_;
   ColtConfig config_;
   FaultInjector faults_;
-  /// Task-parallel layer (null when config.num_workers == 0). Declared
-  /// before the Profiler and Scheduler so it outlives both users; results
-  /// are bit-identical with or without it (DESIGN.md §10).
-  std::unique_ptr<ThreadPool> pool_;
   /// Decision-provenance flight recorder (null when disabled or compiled
   /// out). Declared before the Profiler / Self-Organizer / Scheduler,
   /// which hold raw pointers into it.

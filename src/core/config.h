@@ -137,26 +137,6 @@ struct ColtConfig {
   /// the estimate conservative without letting it vanish entirely.
   double conservative_floor_fraction = 0.25;
 
-  // ---- Parallelism (DESIGN.md §10) ----
-  /// Worker threads for the task-parallel layer: the Profiler fans what-if
-  /// probes out across them and the Scheduler stages physical index builds
-  /// on them. 0 = fully serial (no threads are created). The knob trades
-  /// wall-clock time only — results are bit-identical for every value, by
-  /// construction (ordered joins, per-task RNG streams, worker-private
-  /// optimizer memos and metric buffers).
-  int num_workers = 0;
-
-  // ---- What-if plan cache (DESIGN.md §11) ----
-  /// LRU byte budget of the cross-epoch what-if plan cache: memoized
-  /// (query signature x configuration signature) -> plan cost entries,
-  /// invalidated precisely by the catalog version counter and merged from
-  /// per-worker segments at epoch boundaries. 0 disables caching. The
-  /// cache trades wall-clock time only — tuning results are bit-identical
-  /// with the cache on or off, at every worker count, by construction
-  /// (equal keys imply identical canonical queries, hence identical
-  /// floating-point evaluation order).
-  int64_t whatif_cache_bytes = 8LL * 1024 * 1024;
-
   // ---- Crash-safe persistence (DESIGN.md §12) ----
   /// State directory for checkpoint/WAL persistence of the tuner's
   /// statistical state. Empty (the default) disables persistence entirely:
@@ -182,13 +162,6 @@ struct ColtConfig {
   /// install/drop/quarantine, emergency evictions), drainable as JSONL
   /// via ColtRunResult::provenance.
   int64_t provenance_events = 0;
-  /// When true, what-if estimate events additionally carry a "via" attr
-  /// distinguishing fresh optimizer calls from whatif_cache hits. Off by
-  /// default because that distinction is (by design) the only part of
-  /// the stream that depends on cache configuration: the default stream
-  /// stays byte-identical across `whatif_cache_bytes` settings, and
-  /// cache effectiveness is already exported through the cache counters.
-  bool provenance_annotate_origin = false;
 };
 
 }  // namespace colt

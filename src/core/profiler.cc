@@ -24,8 +24,7 @@ Profiler::Profiler(Catalog* catalog, QueryOptimizer* optimizer,
                    ClusterManager* clusters, GainStatsStore* hot_stats,
                    GainStatsStore* mat_stats, CandidateSet* candidates,
                    const ColtConfig* config, uint64_t seed,
-                   FaultInjector* faults, ThreadPool* pool,
-                   ProvenanceRecorder* provenance)
+                   FaultInjector* faults, ProvenanceRecorder* provenance)
     : catalog_(catalog),
       optimizer_(optimizer),
       clusters_(clusters),
@@ -35,111 +34,20 @@ Profiler::Profiler(Catalog* catalog, QueryOptimizer* optimizer,
       config_(config),
       rng_(seed),
       faults_(faults),
-      pool_(pool),
       provenance_(provenance) {
   MetricsRegistry& reg = MetricsRegistry::Default();
   metrics_.whatif_issued = reg.GetCounter("profiler.whatif.issued");
   metrics_.degraded_fault = reg.GetCounter("profiler.degraded.fault");
   metrics_.degraded_deadline = reg.GetCounter("profiler.degraded.deadline");
-  metrics_.degraded_cache_hit =
-      reg.GetCounter("profiler.degraded.cache_hit");
   metrics_.level1_records = reg.GetCounter("profiler.level1.records");
   metrics_.level2_records = reg.GetCounter("profiler.level2.records");
-  metrics_.shortcircuit_hits =
-      reg.GetCounter("profiler.whatif_cache.shortcircuit_hits");
-  metrics_.cache_evictions =
-      reg.GetCounter("optimizer.whatif_cache.evictions");
-  metrics_.cache_stale_dropped =
-      reg.GetCounter("optimizer.whatif_cache.stale_dropped");
-  metrics_.cache_bytes = reg.GetGauge("optimizer.whatif_cache.bytes");
-  metrics_.cache_entries = reg.GetGauge("optimizer.whatif_cache.entries");
   metrics_.profile_seconds = reg.GetHistogram("profiler.profile.seconds");
-  metrics_.whatif_wall = reg.GetHistogram("profiler.whatif_wall.seconds");
-  metrics_.cache_lookup_seconds =
-      reg.GetHistogram("profiler.whatif_cache.lookup.seconds");
-  const bool caching = config_->whatif_cache_bytes > 0;
-  if (caching) {
-    shared_cache_ =
-        std::make_unique<WhatIfPlanCache>(config_->whatif_cache_bytes);
-    owner_segment_ =
-        std::make_unique<WhatIfPlanCache>(config_->whatif_cache_bytes);
-    optimizer_->set_whatif_cache(shared_cache_.get(), owner_segment_.get());
-  }
-  const int slots = pool_ != nullptr ? pool_->num_workers() : 0;
-  worker_slots_.reserve(static_cast<size_t>(slots));
-  for (int i = 0; i < slots; ++i) {
-    WorkerSlot slot;
-    slot.registry = std::make_unique<MetricsRegistry>();
-    slot.optimizer = std::make_unique<QueryOptimizer>(
-        catalog_, optimizer_->cost_model().params(), slot.registry.get());
-    if (caching) {
-      slot.cache_segment =
-          std::make_unique<WhatIfPlanCache>(config_->whatif_cache_bytes);
-      slot.optimizer->set_whatif_cache(shared_cache_.get(),
-                                       slot.cache_segment.get());
-    }
-    if (provenance_ != nullptr) {
-      slot.provenance =
-          std::make_unique<ProvenanceRecorder>(config_->provenance_events);
-    }
-    worker_slots_.push_back(std::move(slot));
-  }
-}
-
-Profiler::~Profiler() {
-  if (shared_cache_ != nullptr) {
-    optimizer_->set_whatif_cache(nullptr, nullptr);
-  }
-}
-
-bool Profiler::CachedWhatIfGain(const Query& q, IndexId index,
-                                const IndexConfiguration& materialized,
-                                double* gain) {
-  if (shared_cache_ == nullptr) return false;
-  const uint64_t qhash = QueryPlanSignature(q);
-  const uint64_t version = catalog_->version();
-  const CachedPlanCost* base = shared_cache_->Lookup(
-      WhatIfCacheKey{qhash, materialized.Signature()}, version);
-  if (base == nullptr) return false;
-  const bool mat = materialized.Contains(index);
-  const IndexConfiguration probe =
-      mat ? materialized.Without(index) : materialized.With(index);
-  const CachedPlanCost* alt = shared_cache_->Lookup(
-      WhatIfCacheKey{qhash, probe.Signature()}, version);
-  if (alt == nullptr) return false;
-  // Same arithmetic shape as WhatIfOptimize, so a degraded probe answered
-  // here records the exact double the healthy path would have recorded.
-  *gain = mat ? alt->cost - base->cost : base->cost - alt->cost;
-  return true;
 }
 
 void Profiler::RecordCrudeFallback(const Query& q, IndexId index,
                                    ClusterId cluster,
                                    const IndexConfiguration& materialized) {
   const IndexDescriptor& desc = catalog_->index(index);
-  // A degraded probe means the what-if *call* was lost (fault or deadline),
-  // not that the answer is unknowable: if both costs are already in the
-  // frozen cross-epoch cache, record the measured gain instead of the
-  // crude estimate. Frozen-cache-only by design (see CachedWhatIfGain).
-  double cached_gain = 0.0;
-  if (CachedWhatIfGain(q, index, materialized, &cached_gain)) {
-    const TableId cache_table = desc.column.table;
-    const uint64_t cache_sig =
-        TableConfigSignature(*catalog_, materialized, cache_table);
-    GainStatsStore* cache_store =
-        materialized.Contains(index) ? mat_stats_ : hot_stats_;
-    cache_store->Record(index, cluster, std::max(0.0, cached_gain),
-                        cache_sig);
-    metrics_.degraded_cache_hit->Increment();
-    if (provenance_ != nullptr) {
-      provenance_->RecordEvent("profiler.whatif_estimate")
-          .Index(index)
-          .Cluster(cluster)
-          .Attr("gain", cached_gain)
-          .Attr("src", "degraded_cache");
-    }
-    return;
-  }
   double crude = 0.0;
   bool have_predicate = false;
   for (const auto& pred : q.selections()) {
@@ -300,9 +208,8 @@ Profiler::ProfileOutcome Profiler::ProfileQuery(
       live.push_back(id);
     }
     if (!live.empty()) {
-      ScopedTimer whatif_wall(metrics_.whatif_wall);
-      const std::vector<IndexGain> gains = ComputeGains(q, materialized, live);
-      whatif_wall.Stop();
+      const std::vector<IndexGain> gains =
+          optimizer_->WhatIfOptimize(q, materialized, live);
       for (const auto& g : gains) {
         const TableId table = catalog_->index(g.index).column.table;
         const uint64_t sig =
@@ -315,18 +222,11 @@ Profiler::ProfileOutcome Profiler::ProfileQuery(
         }
         metrics_.level2_records->Increment();
         if (provenance_ != nullptr) {
-          // Owner-thread emission in `live` order keeps the stream
-          // worker-count-independent; src stays "whatif" whether the
-          // value came from an optimizer call or the value-transparent
-          // plan cache (DESIGN.md §13), unless origin annotation is
-          // explicitly requested.
-          ProvenanceRecorder::EventBuilder event =
-              provenance_->RecordEvent("profiler.whatif_estimate");
-          event.Index(g.index).Cluster(cluster).Attr("gain", g.gain).Attr(
-              "src", "whatif");
-          if (config_->provenance_annotate_origin) {
-            event.Attr("via", g.from_cache ? "cache" : "fresh");
-          }
+          provenance_->RecordEvent("profiler.whatif_estimate")
+              .Index(g.index)
+              .Cluster(cluster)
+              .Attr("gain", g.gain)
+              .Attr("src", "whatif");
         }
       }
     }
@@ -385,145 +285,12 @@ Profiler::ProfileOutcome Profiler::ProfileQuery(
   return outcome;
 }
 
-std::vector<IndexGain> Profiler::ComputeGains(
-    const Query& q, const IndexConfiguration& materialized,
-    const std::vector<IndexId>& live) {
-  // Probe short-circuit (DESIGN.md §11): probes whose base and probe
-  // costs are both in the frozen cross-epoch cache never reach an
-  // optimizer or the pool. The scan runs on the owner thread against the
-  // frozen cache only, so its answers — and its LRU touches — are
-  // identical at every worker count.
-  if (shared_cache_ != nullptr) {
-    std::vector<IndexGain> gains(live.size());
-    std::vector<IndexId> residual;
-    std::vector<size_t> residual_pos;
-    {
-      ScopedTimer lookup_timer(metrics_.cache_lookup_seconds);
-      const uint64_t qhash = QueryPlanSignature(q);
-      const uint64_t version = catalog_->version();
-      const CachedPlanCost* base = shared_cache_->Lookup(
-          WhatIfCacheKey{qhash, materialized.Signature()}, version);
-      int64_t answered = 0;
-      for (size_t i = 0; i < live.size(); ++i) {
-        const IndexId id = live[i];
-        if (base != nullptr) {
-          const bool mat = materialized.Contains(id);
-          const IndexConfiguration probe =
-              mat ? materialized.Without(id) : materialized.With(id);
-          const CachedPlanCost* alt = shared_cache_->Lookup(
-              WhatIfCacheKey{qhash, probe.Signature()}, version);
-          if (alt != nullptr) {
-            gains[i].index = id;
-            gains[i].gain =
-                mat ? alt->cost - base->cost : base->cost - alt->cost;
-            gains[i].from_cache = true;
-            ++answered;
-            continue;
-          }
-        }
-        residual.push_back(id);
-        residual_pos.push_back(i);
-      }
-      metrics_.shortcircuit_hits->Add(answered);
-    }
-    if (residual.empty()) return gains;
-    const std::vector<IndexGain> computed =
-        ComputeGainsUncached(q, materialized, residual);
-    for (size_t k = 0; k < residual_pos.size(); ++k) {
-      gains[residual_pos[k]] = computed[k];
-    }
-    return gains;
-  }
-  return ComputeGainsUncached(q, materialized, live);
-}
-
-std::vector<IndexGain> Profiler::ComputeGainsUncached(
-    const Query& q, const IndexConfiguration& materialized,
-    const std::vector<IndexId>& live) {
-  // Below 2 probes a fan-out cannot win anything over the pool handoff;
-  // the serial path is also the inline fallback when no pool is attached.
-  // Either path returns the same gains in the same (live) order.
-  if (worker_slots_.empty() || live.size() < 2) {
-    return optimizer_->WhatIfOptimize(q, materialized, live);
-  }
-  const size_t chunks = std::min(worker_slots_.size(), live.size());
-  // Workers are quiescent here, so flipping their buffers' enabled flags
-  // to mirror the main registry is race-free.
-  const bool enabled = MetricsRegistry::Default().enabled();
-  for (size_t c = 0; c < chunks; ++c) {
-    worker_slots_[c].registry->set_enabled(enabled);
-  }
-  std::vector<std::future<std::vector<IndexGain>>> futures;
-  futures.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = c * live.size() / chunks;
-    const size_t end = (c + 1) * live.size() / chunks;
-    std::vector<IndexId> chunk(
-        live.begin() + static_cast<std::ptrdiff_t>(begin),
-        live.begin() + static_cast<std::ptrdiff_t>(end));
-    QueryOptimizer* opt = worker_slots_[c].optimizer.get();
-    // &q / &materialized are safe to share: the loop below blocks until
-    // every task finished, and tasks only read them.
-    futures.push_back(
-        pool_->Submit([opt, &q, &materialized, chunk = std::move(chunk)] {
-          return opt->WhatIfOptimize(q, materialized, chunk);
-        }));
-  }
-  std::vector<IndexGain> gains;
-  gains.reserve(live.size());
-  for (auto& future : futures) {
-    const std::vector<IndexGain> part = future.get();
-    gains.insert(gains.end(), part.begin(), part.end());
-  }
-  // Keep the main optimizer's lifetime stats meaningful: absorb what the
-  // chunk optimizers just counted.
-  for (size_t c = 0; c < chunks; ++c) {
-    optimizer_->AbsorbStats(worker_slots_[c].optimizer->stats());
-    worker_slots_[c].optimizer->ResetStats();
-  }
-  return gains;
-}
-
 int64_t Profiler::EpochUsageCount(IndexId index, ClusterId cluster) const {
   auto it = epoch_usage_.find(PairKey{index, cluster});
   return it == epoch_usage_.end() ? 0 : it->second;
 }
 
-void Profiler::AdvanceEpoch() {
-  epoch_usage_.clear();
-  MetricsRegistry& main_registry = MetricsRegistry::Default();
-  for (WorkerSlot& slot : worker_slots_) {
-    main_registry.MergeFrom(*slot.registry);
-    slot.registry->Reset();
-  }
-  if (provenance_ != nullptr) {
-    // Same merge point and ordering as the metric buffers: slot order is
-    // the deterministic task order of DESIGN.md §10.
-    for (WorkerSlot& slot : worker_slots_) {
-      provenance_->MergeFrom(slot.provenance.get());
-    }
-  }
-  if (shared_cache_ != nullptr) {
-    // Merge discipline (DESIGN.md §11): drain every segment, then let the
-    // frozen cache sort/dedupe/insert in canonical key order and prune
-    // stale entries against the *current* catalog version — the epoch's
-    // ApplyConfiguration has already run, so entries computed before a
-    // version bump die here. The merged contents are a deterministic
-    // function of the query stream, independent of worker count.
-    std::vector<std::pair<WhatIfCacheKey, CachedPlanCost>> fresh;
-    owner_segment_->DrainEntriesInto(&fresh);
-    for (WorkerSlot& slot : worker_slots_) {
-      slot.cache_segment->DrainEntriesInto(&fresh);
-    }
-    const WhatIfPlanCache::MergeOutcome merged =
-        shared_cache_->MergeFreshEntries(std::move(fresh),
-                                         catalog_->version());
-    metrics_.cache_evictions->Add(merged.evicted);
-    metrics_.cache_stale_dropped->Add(merged.stale_dropped);
-    metrics_.cache_bytes->Set(static_cast<double>(shared_cache_->bytes()));
-    metrics_.cache_entries->Set(static_cast<double>(shared_cache_->size()));
-  }
-}
+void Profiler::AdvanceEpoch() { epoch_usage_.clear(); }
 
 namespace {
 constexpr uint32_t kProfilerSectionTag = 0x464F5250;  // "PROF"
@@ -533,8 +300,6 @@ void Profiler::SaveState(BinaryWriter* writer) const {
   writer->WriteU32(kProfilerSectionTag);
   const std::array<uint64_t, 4> rng_state = rng_.state();
   for (uint64_t word : rng_state) writer->WriteU64(word);
-  writer->WriteBool(shared_cache_ != nullptr);
-  if (shared_cache_ != nullptr) shared_cache_->SaveState(writer);
 }
 
 Status Profiler::LoadState(BinaryReader* reader) {
@@ -542,15 +307,6 @@ Status Profiler::LoadState(BinaryReader* reader) {
   std::array<uint64_t, 4> rng_state = {};
   for (uint64_t& word : rng_state) {
     COLT_RETURN_IF_ERROR(reader->ReadU64(&word));
-  }
-  bool has_cache = false;
-  COLT_RETURN_IF_ERROR(reader->ReadBool(&has_cache));
-  if (has_cache != (shared_cache_ != nullptr)) {
-    return Status::FailedPrecondition(
-        "what-if cache configuration differs from the snapshot's");
-  }
-  if (shared_cache_ != nullptr) {
-    COLT_RETURN_IF_ERROR(shared_cache_->LoadState(reader));
   }
   rng_.set_state(rng_state);
   return Status::OK();

@@ -1,7 +1,6 @@
 #ifndef COLT_CORE_PROFILER_H_
 #define COLT_CORE_PROFILER_H_
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -11,13 +10,11 @@
 #include "common/provenance.h"
 #include "common/rng.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "core/candidates.h"
 #include "core/clustering.h"
 #include "core/config.h"
 #include "core/gain_stats.h"
 #include "optimizer/optimizer.h"
-#include "optimizer/whatif_cache.h"
 
 namespace colt {
 
@@ -36,23 +33,14 @@ uint64_t TableConfigSignature(const Catalog& catalog,
 class Profiler {
  public:
   /// `faults` may be null (no fault injection); it must outlive the
-  /// profiler. `pool` may be null (serial what-if probing); when given, the
-  /// profiler builds one worker-private optimizer + metrics buffer per pool
-  /// worker and fans WhatIfOptimize probes out across them — with results
-  /// bit-identical to the serial path (see ProfileQuery). `provenance` may
-  /// be null (no decision recording); gain estimates are emitted on the
-  /// owner thread in probe order, so the event stream is worker-count-
-  /// independent (DESIGN.md §13).
+  /// profiler. `provenance` may be null (no decision recording); gain
+  /// estimates are emitted in probe order (DESIGN.md §13).
   Profiler(Catalog* catalog, QueryOptimizer* optimizer,
            ClusterManager* clusters, GainStatsStore* hot_stats,
            GainStatsStore* mat_stats, CandidateSet* candidates,
            const ColtConfig* config, uint64_t seed,
-           FaultInjector* faults = nullptr, ThreadPool* pool = nullptr,
+           FaultInjector* faults = nullptr,
            ProvenanceRecorder* provenance = nullptr);
-
-  /// Detaches the what-if cache from the (externally owned) main optimizer
-  /// — the cache dies with the profiler, the optimizer may not.
-  ~Profiler();
 
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
@@ -86,16 +74,8 @@ class Profiler {
   /// materialized index was used by the normal plan (drives BenefitM).
   int64_t EpochUsageCount(IndexId index, ClusterId cluster) const;
 
-  /// Clears per-epoch usage counts, folds the worker-private metric
-  /// buffers into MetricsRegistry::Default() (the epoch boundary is the
-  /// merge point of the per-worker-buffer rule, DESIGN.md §10), and merges
-  /// the per-worker what-if cache segments into the frozen cross-epoch
-  /// cache in canonical sorted-key order (DESIGN.md §11).
+  /// Clears per-epoch usage counts.
   COLT_OWNER_ONLY void AdvanceEpoch();
-
-  /// The frozen cross-epoch what-if cache, or null when
-  /// ColtConfig::whatif_cache_bytes == 0 (exposed for tests and tools).
-  const WhatIfPlanCache* whatif_cache() const { return shared_cache_.get(); }
 
   /// The adaptive sampling probability for pair (index, cluster) given the
   /// largest error contribution among this query's competing pairs
@@ -110,12 +90,9 @@ class Profiler {
   double ErrorContribution(IndexId index, ClusterId cluster,
                            const IndexConfiguration& materialized) const;
 
-  /// Crash-safe persistence of the sampling RNG stream and the frozen
-  /// cross-epoch what-if cache. Must be called at an epoch boundary (after
-  /// AdvanceEpoch): per-epoch usage counts and the worker cache segments
-  /// are empty there by construction and are not serialized. LoadState
-  /// fails with kFailedPrecondition when the snapshot's cache presence
-  /// disagrees with this profiler's configuration.
+  /// Crash-safe persistence of the sampling RNG stream. Must be called at
+  /// an epoch boundary (after AdvanceEpoch): per-epoch usage counts are
+  /// empty there by construction and are not serialized.
   void SaveState(BinaryWriter* writer) const;
   Status LoadState(BinaryReader* reader);
 
@@ -127,32 +104,6 @@ class Profiler {
   void RecordCrudeFallback(const Query& q, IndexId index, ClusterId cluster,
                            const IndexConfiguration& materialized);
 
-  /// Degraded-mode cache consult: answers QueryGain(q, index) from the
-  /// frozen cross-epoch cache alone (never the in-flight segments — in
-  /// serial mode fresh entries would be visible mid-epoch, in parallel
-  /// mode they would not, and a difference would break serial-vs-parallel
-  /// byte-identity). Returns false when either cost is absent or stale.
-  bool CachedWhatIfGain(const Query& q, IndexId index,
-                        const IndexConfiguration& materialized, double* gain);
-
-  /// The what-if gains for `live`, in `live` order. Serial on the main
-  /// optimizer when no pool is attached (or the batch is too small to
-  /// amortize a handoff); otherwise contiguous chunks of `live` are probed
-  /// concurrently, one worker-private optimizer per chunk, and the chunk
-  /// results are concatenated in submission order. Identical output either
-  /// way: WhatIfOptimize is a pure function of (catalog, params, query,
-  /// materialized, probation), and its memo is a per-call cache.
-  std::vector<IndexGain> ComputeGains(const Query& q,
-                                      const IndexConfiguration& materialized,
-                                      const std::vector<IndexId>& live);
-
-  /// ComputeGains minus the frozen-cache short-circuit: the serial or
-  /// chunked fan-out path. (Worker optimizers still consult their private
-  /// segments and Peek the frozen cache per cost computation.)
-  std::vector<IndexGain> ComputeGainsUncached(
-      const Query& q, const IndexConfiguration& materialized,
-      const std::vector<IndexId>& live);
-
   Catalog* catalog_;
   QueryOptimizer* optimizer_;
   ClusterManager* clusters_;
@@ -162,37 +113,7 @@ class Profiler {
   const ColtConfig* config_;
   Rng rng_;
   FaultInjector* faults_;
-  ThreadPool* pool_;
   ProvenanceRecorder* provenance_;
-
-  /// One slot per pool worker: a private metrics buffer and a private
-  /// optimizer recording into it. A chunk-task uses exactly one slot, and
-  /// at most one task per slot is in flight, so slot state needs no locks;
-  /// the pool's queue mutex provides the happens-before edges.
-  struct WorkerSlot {
-    std::unique_ptr<MetricsRegistry> registry;
-    std::unique_ptr<QueryOptimizer> optimizer;
-    /// Fresh what-if cache entries this worker computed during the epoch;
-    /// drained into the frozen cache at AdvanceEpoch.
-    std::unique_ptr<WhatIfPlanCache> cache_segment;
-    /// Worker-private provenance buffer, folded into the main recorder at
-    /// AdvanceEpoch in slot order (the deterministic task order of
-    /// DESIGN.md §10). The current pipeline emits decisions owner-side
-    /// only, so these stay empty; the buffer exists so future worker-side
-    /// emission inherits the merge discipline instead of inventing one.
-    std::unique_ptr<ProvenanceRecorder> provenance;
-  };
-  std::vector<WorkerSlot> worker_slots_;
-
-  /// Cross-epoch what-if plan cache (DESIGN.md §11), created when
-  /// config->whatif_cache_bytes > 0. `shared_cache_` is frozen within an
-  /// epoch: workers Peek it (const), only the owner thread mutates it —
-  /// LRU touches in the probe short-circuit and the degraded fallback,
-  /// structural changes only in AdvanceEpoch while workers are quiescent.
-  /// `owner_segment_` collects fresh entries from the serial path (the
-  /// main optimizer), mirroring the per-worker segments.
-  std::unique_ptr<WhatIfPlanCache> shared_cache_;
-  std::unique_ptr<WhatIfPlanCache> owner_segment_;
 
   struct PairKey {
     IndexId index;
@@ -211,24 +132,9 @@ class Profiler {
     Counter* whatif_issued;
     Counter* degraded_fault;
     Counter* degraded_deadline;
-    /// Degraded probes answered with a measured gain from the frozen
-    /// what-if cache instead of the crude level-1 estimate.
-    Counter* degraded_cache_hit;
     Counter* level1_records;
     Counter* level2_records;
-    /// Probes fully answered by the frozen cache before the fan-out.
-    Counter* shortcircuit_hits;
-    Counter* cache_evictions;
-    Counter* cache_stale_dropped;
-    Gauge* cache_bytes;
-    Gauge* cache_entries;
     Histogram* profile_seconds;
-    /// Real wall time of the what-if section per query (main thread),
-    /// serial or fanned out — the quantity the parallel layer shrinks.
-    Histogram* whatif_wall;
-    /// Wall time of the owner's short-circuit scan over the frozen cache
-    /// (the p95 of this is the per-query cache lookup cost).
-    Histogram* cache_lookup_seconds;
   };
   Instruments metrics_;
 };

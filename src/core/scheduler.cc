@@ -6,17 +6,16 @@
 
 namespace colt {
 
-Scheduler::Scheduler(Catalog* catalog, const CostModel* cost_model,
+Scheduler::Scheduler(const Catalog* catalog, const CostModel* cost_model,
                      Database* db, SchedulingStrategy strategy,
                      FaultInjector* faults, RetryPolicy retry,
-                     ThreadPool* pool, ProvenanceRecorder* provenance)
+                     ProvenanceRecorder* provenance)
     : catalog_(catalog),
       cost_model_(cost_model),
       db_(db),
       strategy_(strategy),
       faults_(faults),
       retry_(retry),
-      pool_(pool),
       provenance_(provenance) {
   MetricsRegistry& reg = MetricsRegistry::Default();
   metrics_.builds_completed = reg.GetCounter("scheduler.builds.completed");
@@ -35,30 +34,12 @@ double Scheduler::BuildSeconds(IndexId id) const {
       cost_model_->MaterializationCost(table, desc));
 }
 
-Status Scheduler::TryBuild(IndexId id, StagedTree staged) {
-  // The fault draw stays on the owner thread, before any physical work is
-  // consumed, at the same sequence point as the inline path — so fault
-  // sites fire identically with and without background builds.
+Status Scheduler::TryBuild(IndexId id) {
   if (faults_ != nullptr) {
     COLT_RETURN_IF_ERROR(faults_->MaybeFail(fault_sites::kIndexBuild));
   }
   if (db_ == nullptr) return Status::OK();
-  if (staged.valid()) {
-    Result<std::unique_ptr<BTreeIndex>> tree = staged.get();
-    if (tree.ok()) {
-      return db_->InstallIndex(id, std::move(tree).value());
-    }
-    // The staged attempt reflects the world at queue time; fall through to
-    // an inline build so completion-time state decides, exactly as it
-    // would without a pool.
-  }
   return db_->BuildIndex(id);
-}
-
-Scheduler::StagedTree Scheduler::StageBuild(IndexId id) {
-  if (pool_ == nullptr || db_ == nullptr) return {};
-  const Database* db = db_;
-  return pool_->Submit([db, id] { return db->PrepareIndex(id); });
 }
 
 bool Scheduler::IsQuarantined(IndexId id) const {
@@ -168,7 +149,6 @@ Result<std::vector<IndexAction>> Scheduler::ApplyConfiguration(
   for (const auto& action : actions) {
     if (db_ != nullptr) db_->DropIndex(action.index);
     materialized_.Remove(action.index);
-    catalog_->BumpVersion();
     metrics_.drops->Increment();
     if (provenance_ != nullptr) {
       provenance_->RecordEvent("scheduler.drop")
@@ -187,25 +167,6 @@ Result<std::vector<IndexAction>> Scheduler::ApplyConfiguration(
                                 }),
                  pending_.end());
 
-  // Immediate mode with a pool: pre-build every tree this round will want
-  // concurrently on the workers, then run the loop below unchanged — it
-  // draws faults and installs (in `desired` order) on this thread, so the
-  // only difference to the inline path is wall-clock time. The loop's
-  // skip conditions are per-id and unaffected by earlier iterations, so
-  // the prefetch list matches the ids the loop attempts.
-  std::unordered_map<IndexId, StagedTree> prefetched;
-  if (strategy_ == SchedulingStrategy::kImmediate && pool_ != nullptr &&
-      db_ != nullptr) {
-    std::vector<IndexId> to_build;
-    for (IndexId id : desired.ids()) {
-      if (materialized_.Contains(id) || BuildBlocked(id)) continue;
-      to_build.push_back(id);
-    }
-    if (to_build.size() >= 2) {
-      for (IndexId id : to_build) prefetched.emplace(id, StageBuild(id));
-    }
-  }
-
   for (IndexId id : desired.ids()) {
     if (materialized_.Contains(id)) continue;
     if (BuildBlocked(id)) continue;  // backoff or quarantine
@@ -214,16 +175,10 @@ Result<std::vector<IndexAction>> Scheduler::ApplyConfiguration(
       if (faults_ != nullptr) {
         build_seconds *= faults_->Multiplier(fault_sites::kIndexBuildSlow);
       }
-      StagedTree staged;
-      if (auto it = prefetched.find(id); it != prefetched.end()) {
-        staged = std::move(it->second);
-        prefetched.erase(it);
-      }
-      const Status built = TryBuild(id, std::move(staged));
+      const Status built = TryBuild(id);
       if (built.ok()) {
         failures_.erase(id);
         materialized_.Add(id);
-        catalog_->BumpVersion();
         IndexAction action;
         action.type = IndexActionType::kMaterialize;
         action.index = id;
@@ -258,11 +213,7 @@ Result<std::vector<IndexAction>> Scheduler::ApplyConfiguration(
         PendingBuild build;
         build.index = id;
         build.remaining_seconds = BuildSeconds(id);
-        // Background mode: the physical bulk load starts now, overlapping
-        // the query stream; the simulated idle clock still gates when the
-        // index becomes visible (OnIdle joins the future at completion).
-        build.staged = StageBuild(id);
-        pending_.push_back(std::move(build));
+        pending_.push_back(build);
       }
     }
   }
@@ -285,13 +236,11 @@ Result<std::vector<IndexAction>> Scheduler::OnIdle(double seconds) {
     if (build.remaining_seconds > 1e-12) break;  // out of idle time
     const IndexId id = build.index;
     const double sunk = build.spent_seconds;
-    StagedTree staged = std::move(build.staged);
     pending_.pop_front();
-    const Status built = TryBuild(id, std::move(staged));
+    const Status built = TryBuild(id);
     if (built.ok()) {
       failures_.erase(id);
       materialized_.Add(id);
-      catalog_->BumpVersion();
       IndexAction action;
       action.type = IndexActionType::kMaterialize;
       action.index = id;
@@ -404,7 +353,7 @@ Status Scheduler::LoadState(BinaryReader* reader) {
     build.index = static_cast<IndexId>(id);
     COLT_RETURN_IF_ERROR(reader->ReadDouble(&build.remaining_seconds));
     COLT_RETURN_IF_ERROR(reader->ReadDouble(&build.spent_seconds));
-    pending.push_back(std::move(build));
+    pending.push_back(build);
   }
   uint64_t failure_count = 0;
   COLT_RETURN_IF_ERROR(reader->ReadU64(&failure_count));
@@ -438,9 +387,7 @@ Status Scheduler::LoadState(BinaryReader* reader) {
   COLT_RETURN_IF_ERROR(reader->ReadDouble(&wasted_idle));
   COLT_RETURN_IF_ERROR(reader->ReadDouble(&idle_spent));
   // Physical trees are never page-imaged: rebuild each materialized index
-  // from its base table. No catalog version bumps here — recovery restores
-  // the saved version counter after every section is loaded, so the
-  // rebuilt state carries exactly the version the snapshot recorded.
+  // from its base table.
   if (db_ != nullptr) {
     const std::vector<IndexId> built = db_->BuiltIndexIds();
     for (IndexId id : materialized.ids()) {
@@ -450,9 +397,6 @@ Status Scheduler::LoadState(BinaryReader* reader) {
   }
   materialized_ = std::move(materialized);
   pending_ = std::move(pending);
-  // Background mode: restart the physical bulk loads the crash discarded;
-  // the simulated idle clock (remaining_seconds) carries over.
-  for (PendingBuild& build : pending_) build.staged = StageBuild(build.index);
   failures_ = std::move(failures);
   round_ = round;
   build_failures_ = build_failures;

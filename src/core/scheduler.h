@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <future>
-#include <memory>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -16,7 +14,6 @@
 #include "common/provenance.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "core/config.h"
 #include "optimizer/cost_model.h"
 #include "storage/database.h"
@@ -70,24 +67,12 @@ class Scheduler {
   using RetryPolicy = SchedulerRetryPolicy;
 
   /// `db` may be null (statistics-only mode). `faults` may be null (no
-  /// fault injection); it must outlive the scheduler. `pool` may be null
-  /// (inline builds); when given together with a Database, physical tree
-  /// construction (Database::PrepareIndex) is staged on pool workers so it
-  /// overlaps query execution, while fault checks and the registration of
-  /// finished trees (InstallIndex) stay on the owner thread at exactly the
-  /// serial sequence points — actions, fault draws, and retry bookkeeping
-  /// are bit-identical with and without the pool.
-  ///
-  /// `catalog` is non-const because every install and drop bumps
-  /// Catalog::BumpVersion() — in both physical and statistics-only mode —
-  /// so the what-if plan cache invalidates precisely (DESIGN.md §11).
-  /// `provenance` may be null (no decision recording); installs, drops,
-  /// build failures, backoffs and quarantines emit typed events when set
-  /// (DESIGN.md §13).
-  Scheduler(Catalog* catalog, const CostModel* cost_model, Database* db,
+  /// fault injection); it must outlive the scheduler. `provenance` may be
+  /// null (no decision recording); installs, drops, build failures,
+  /// backoffs and quarantines emit typed events when set (DESIGN.md §13).
+  Scheduler(const Catalog* catalog, const CostModel* cost_model, Database* db,
             SchedulingStrategy strategy = SchedulingStrategy::kImmediate,
             FaultInjector* faults = nullptr, RetryPolicy retry = {},
-            ThreadPool* pool = nullptr,
             ProvenanceRecorder* provenance = nullptr);
 
   /// Transitions toward `desired`. Drops take effect immediately (and
@@ -144,28 +129,20 @@ class Scheduler {
 
   /// Crash-safe persistence: the materialized set (ids only — physical
   /// trees are rebuilt from the base tables on load, never page-imaged),
-  /// the pending build queue (staged futures are re-staged on load), the
-  /// retry/backoff/quarantine map, the round counter, and the lifetime
-  /// accounting. LoadState rebuilds real B+-trees via the attached
-  /// Database and therefore may fail with the substrate's error.
+  /// the pending build queue, the retry/backoff/quarantine map, the round
+  /// counter, and the lifetime accounting. LoadState rebuilds real
+  /// B+-trees via the attached Database and therefore may fail with the
+  /// substrate's error.
   void SaveState(BinaryWriter* writer) const;
   Status LoadState(BinaryReader* reader);
 
  private:
-  /// Future for a tree staged on a pool worker (background build mode).
-  using StagedTree = std::future<Result<std::unique_ptr<BTreeIndex>>>;
-
   struct PendingBuild {
     IndexId index = kInvalidIndexId;
     double remaining_seconds = 0.0;
     /// Idle seconds already sunk into this build (lost if it is cancelled
     /// or its materialization fails).
     double spent_seconds = 0.0;
-    /// Background mode only: the physical tree being bulk-loaded on a pool
-    /// worker while the simulated idle clock runs down. Joined at the
-    /// OnIdle completion boundary; discarded (not installed) if the build
-    /// is cancelled first.
-    StagedTree staged;
   };
 
   /// Per-index failure bookkeeping; erased on success or cooldown expiry.
@@ -177,16 +154,9 @@ class Scheduler {
     int64_t quarantine_until_round = -1;
   };
 
-  /// Runs the fault check plus the physical build, installing `staged`
-  /// when it holds a successfully pre-built tree (an invalid or failed
-  /// future falls back to an inline build, so completion-time state
-  /// decides — exactly as without a pool). Transient errors are the
-  /// retryable ones; everything else is caller misuse.
-  Status TryBuild(IndexId id, StagedTree staged = {});
-
-  /// Submits Database::PrepareIndex(id) to the pool, or returns an invalid
-  /// future when background builds are off (no pool / no database).
-  StagedTree StageBuild(IndexId id);
+  /// Runs the fault check plus the physical build. Transient errors are
+  /// the retryable ones; everything else is caller misuse.
+  Status TryBuild(IndexId id);
   static bool IsTransient(StatusCode code) {
     return code == StatusCode::kInternal ||
            code == StatusCode::kResourceExhausted;
@@ -202,13 +172,12 @@ class Scheduler {
   /// Drops failure records whose quarantine cooldown has elapsed.
   void ExpireQuarantines();
 
-  Catalog* catalog_;
+  const Catalog* catalog_;
   const CostModel* cost_model_;
   Database* db_;
   SchedulingStrategy strategy_;
   FaultInjector* faults_;
   RetryPolicy retry_;
-  ThreadPool* pool_;
   ProvenanceRecorder* provenance_;
   IndexConfiguration materialized_;
   std::deque<PendingBuild> pending_;

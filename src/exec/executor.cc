@@ -414,11 +414,7 @@ Result<Executor::Relation> Executor::Run(const PlanNode& node,
       std::vector<RowId> matches;
       for (int64_t o = 0; o < outer.size; ++o) {
         matches.clear();
-        // (The probe is written BTreeIndex::Lookup so the thread-role lint
-        // resolves it strictly; the unqualified name would widen onto the
-        // owner-only WhatIfCache::Lookup.)
-        const int64_t leaves =
-            index->BTreeIndex::Lookup(keys.at(o), &matches);
+        const int64_t leaves = index->Lookup(keys.at(o), &matches);
         acc->pages_index += leaves + index->height();
         acc->pages_random += DistinctHeapPages(node.table, matches);
         acc->tuples_processed += static_cast<int64_t>(matches.size());

@@ -49,12 +49,13 @@ struct ExecutionResult {
     // Bitmap pages are between sequential and random; charge the midpoint.
     const double bitmap_page_cost =
         (params.seq_page_cost + params.random_page_cost) / 2.0;
-    return pages_seq * params.seq_page_cost +
-           pages_bitmap * bitmap_page_cost +
-           (pages_random + pages_index) * params.random_page_cost +
-           tuples_processed * params.cpu_tuple_cost +
-           pages_heap_write * params.seq_page_cost +
-           pages_index_write * params.random_page_cost;
+    return static_cast<double>(pages_seq) * params.seq_page_cost +
+           static_cast<double>(pages_bitmap) * bitmap_page_cost +
+           static_cast<double>(pages_random + pages_index) *
+               params.random_page_cost +
+           static_cast<double>(tuples_processed) * params.cpu_tuple_cost +
+           static_cast<double>(pages_heap_write) * params.seq_page_cost +
+           static_cast<double>(pages_index_write) * params.random_page_cost;
   }
 };
 

@@ -133,8 +133,10 @@ double CostModel::IndexMaintenanceCost(const TableSchema& table,
                                        const IndexDescriptor& index,
                                        double entries) const {
   if (entries <= 0.0) return 0.0;
-  const double rows = std::max<double>(1.0, table.row_count());
-  const double leaf_pages = std::max<double>(1.0, index.leaf_pages);
+  const double rows =
+      std::max<double>(1.0, static_cast<double>(table.row_count()));
+  const double leaf_pages =
+      std::max<double>(1.0, static_cast<double>(index.leaf_pages));
   const double leaves_dirtied = HeapPagesFetched(entries, leaf_pages, rows);
   return index.height * params_.random_page_cost +
          leaves_dirtied * params_.random_page_cost +
@@ -144,9 +146,11 @@ double CostModel::IndexMaintenanceCost(const TableSchema& table,
 CostEstimate CostModel::HeapAppend(const TableSchema& table,
                                    double rows) const {
   CostEstimate est;
-  const double existing = std::max<double>(1.0, table.row_count());
-  const double rows_per_page =
-      std::max(1.0, existing / std::max<double>(1.0, table.heap_pages()));
+  const double existing =
+      std::max<double>(1.0, static_cast<double>(table.row_count()));
+  const double heap_pages =
+      std::max<double>(1.0, static_cast<double>(table.heap_pages()));
+  const double rows_per_page = std::max(1.0, existing / heap_pages);
   const double pages = std::max(1.0, rows / rows_per_page);
   est.cost = pages * params_.seq_page_cost + rows * params_.cpu_tuple_cost;
   est.rows = rows;
@@ -158,7 +162,7 @@ CostEstimate CostModel::HeapWriteBack(const TableSchema& table,
   CostEstimate est;
   const double dirty = HeapPagesFetched(
       rows, static_cast<double>(table.heap_pages()),
-      std::max<double>(1.0, table.row_count()));
+      std::max<double>(1.0, static_cast<double>(table.row_count())));
   est.cost = dirty * params_.seq_page_cost + rows * params_.cpu_tuple_cost;
   est.rows = rows;
   return est;

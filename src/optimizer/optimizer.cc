@@ -5,26 +5,10 @@
 
 #include "common/logging.h"
 #include "common/tracing.h"
-#include "optimizer/whatif_cache.h"
 
 namespace colt {
 
 namespace {
-
-/// Bit i set iff config.ids()[i] appears in the plan (positions >= 64 are
-/// not representable; configurations are budget-bounded far below that).
-uint64_t UsedIndexBitmap(const PlanResult& result,
-                         const IndexConfiguration& config) {
-  uint64_t bitmap = 0;
-  const std::vector<IndexId>& ids = config.ids();
-  for (IndexId used : result.UsedIndexes()) {
-    const auto it = std::lower_bound(ids.begin(), ids.end(), used);
-    if (it == ids.end() || *it != used) continue;
-    const size_t pos = static_cast<size_t>(it - ids.begin());
-    if (pos < 64) bitmap |= (1ULL << pos);
-  }
-  return bitmap;
-}
 
 /// FNV signature of the config indexes that live on `table`.
 uint64_t ConfigSigForTable(const Catalog& catalog,
@@ -40,21 +24,14 @@ uint64_t ConfigSigForTable(const Catalog& catalog,
 
 }  // namespace
 
-QueryOptimizer::QueryOptimizer(const Catalog* catalog, CostParams params,
-                               MetricsRegistry* registry)
+QueryOptimizer::QueryOptimizer(const Catalog* catalog, CostParams params)
     : catalog_(catalog), cost_model_(params) {
-  MetricsRegistry& reg =
-      registry != nullptr ? *registry : MetricsRegistry::Default();
+  MetricsRegistry& reg = MetricsRegistry::Default();
   metrics_.optimize_calls = reg.GetCounter("optimizer.optimize.calls");
   metrics_.whatif_calls = reg.GetCounter("optimizer.whatif.calls");
   metrics_.whatif_probes = reg.GetCounter("optimizer.whatif.probes");
   metrics_.memo_hits = reg.GetCounter("optimizer.memo.hits");
   metrics_.memo_misses = reg.GetCounter("optimizer.memo.misses");
-  metrics_.cache_hits = reg.GetCounter("optimizer.whatif_cache.hits");
-  metrics_.cache_misses = reg.GetCounter("optimizer.whatif_cache.misses");
-  metrics_.cache_invalidations =
-      reg.GetCounter("optimizer.whatif_cache.invalidations");
-  metrics_.cache_inserts = reg.GetCounter("optimizer.whatif_cache.inserts");
   metrics_.plan_seconds = reg.GetHistogram("optimizer.plan.seconds");
   metrics_.whatif_seconds = reg.GetHistogram("optimizer.whatif.seconds");
 }
@@ -428,14 +405,9 @@ std::vector<IndexGain> QueryOptimizer::WhatIfOptimize(
   span.AddAttr("probes", static_cast<int64_t>(probation.size()));
   // The memo is shared across the base optimization and every what-if
   // re-optimization: access paths of tables unaffected by the probed index
-  // are reused rather than recomputed. The cross-epoch cache sits one
-  // level up: it memoizes whole plan costs across WhatIfOptimize calls,
-  // keyed by exact query signature and configuration signature, so a
-  // cached cost is the very double this expression tree would produce.
+  // are reused rather than recomputed.
   std::unordered_map<TableKey, AccessPath, TableKeyHash> memo;
-  const bool caching = shared_cache_ != nullptr || segment_cache_ != nullptr;
-  const uint64_t qhash = caching ? QueryPlanSignature(q) : 0;
-  const double base = CachedCost(q, qhash, materialized, &memo);
+  const double base = OptimizeInternal(q, materialized, &memo).cost;
   std::vector<IndexGain> gains;
   gains.reserve(probation.size());
   for (IndexId id : probation) {
@@ -446,56 +418,14 @@ std::vector<IndexGain> QueryOptimizer::WhatIfOptimize(
     if (materialized.Contains(id)) {
       // Pretend the materialized index is unavailable; the gain is the
       // resulting increase in execution cost (paper §4.1, QueryGainM).
-      g.gain = CachedCost(q, qhash, materialized.Without(id), &memo) - base;
+      g.gain =
+          OptimizeInternal(q, materialized.Without(id), &memo).cost - base;
     } else {
-      g.gain = base - CachedCost(q, qhash, materialized.With(id), &memo);
+      g.gain = base - OptimizeInternal(q, materialized.With(id), &memo).cost;
     }
     gains.push_back(g);
   }
   return gains;
-}
-
-double QueryOptimizer::CachedCost(
-    const Query& q, uint64_t qhash, const IndexConfiguration& config,
-    std::unordered_map<TableKey, AccessPath, TableKeyHash>* memo) {
-  const bool caching = shared_cache_ != nullptr || segment_cache_ != nullptr;
-  uint64_t version = 0;
-  WhatIfCacheKey key;
-  if (caching) {
-    version = catalog_->version();
-    key = WhatIfCacheKey{qhash, config.Signature()};
-    if (segment_cache_ != nullptr) {
-      // colt-lint: allow-next-line(thread-role): segment_cache_ is this
-      // worker's private fresh-entry segment (one per pool slot, no
-      // sharing); owner-only Lookup guards the shared frozen cache's
-      // LRU-touch path, which workers reach via Peek instead.
-      if (const CachedPlanCost* e = segment_cache_->Lookup(key, version)) {
-        metrics_.cache_hits->Increment();
-        return e->cost;
-      }
-    }
-    if (shared_cache_ != nullptr) {
-      bool stale = false;
-      if (const CachedPlanCost* e = shared_cache_->Peek(key, version,
-                                                       &stale)) {
-        metrics_.cache_hits->Increment();
-        return e->cost;
-      }
-      if (stale) metrics_.cache_invalidations->Increment();
-    }
-    metrics_.cache_misses->Increment();
-  }
-  const PlanResult result = OptimizeInternal(q, config, memo);
-  if (segment_cache_ != nullptr) {
-    CachedPlanCost entry;
-    entry.cost = result.cost;
-    entry.rows = result.rows;
-    entry.used_index_bitmap = UsedIndexBitmap(result, config);
-    entry.catalog_version = version;
-    segment_cache_->Insert(key, entry);
-    metrics_.cache_inserts->Increment();
-  }
-  return result.cost;
 }
 
 double QueryOptimizer::CrudeGain(const SelectionPredicate& pred,

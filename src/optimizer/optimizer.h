@@ -8,14 +8,11 @@
 
 #include "catalog/catalog.h"
 #include "common/metrics.h"
-#include "common/thread_annotations.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/plan.h"
 #include "query/query.h"
 
 namespace colt {
-
-class WhatIfPlanCache;
 
 /// A fully optimized query: the chosen physical plan and its estimated cost.
 struct PlanResult {
@@ -45,11 +42,6 @@ struct PlanResult {
 struct IndexGain {
   IndexId index = kInvalidIndexId;
   double gain = 0.0;
-  /// True when the gain was answered from the frozen what-if plan cache
-  /// without issuing an optimizer call (the Profiler's owner-side probe
-  /// short-circuit, DESIGN.md §11). Advisory provenance only — the value
-  /// itself is bit-identical either way.
-  bool from_cache = false;
 };
 
 /// Cumulative optimizer statistics (profiling-overhead accounting).
@@ -73,12 +65,7 @@ struct OptimizerStats {
 /// and hash joins.
 class QueryOptimizer {
  public:
-  /// `registry` selects where this optimizer's instruments live; null means
-  /// MetricsRegistry::Default(). Worker-private optimizers in the parallel
-  /// profiler pass their worker's buffer registry (per-worker-buffer rule,
-  /// DESIGN.md §10) so instrument updates never race on the main registry.
-  explicit QueryOptimizer(const Catalog* catalog, CostParams params = {},
-                          MetricsRegistry* registry = nullptr);
+  explicit QueryOptimizer(const Catalog* catalog, CostParams params = {});
 
   /// Optimizes `q` assuming exactly the indexes in `config` exist.
   PlanResult Optimize(const Query& q, const IndexConfiguration& config);
@@ -88,11 +75,7 @@ class QueryOptimizer {
   /// `materialized - {I}` and `materialized + {I}` (so: the savings I is
   /// responsible for, whether or not I is currently materialized).
   /// Each probed index counts as one what-if call in stats().
-  /// Worker-safe: the profiler fans chunks of `probation` out to
-  /// worker-private optimizers; everything reached from here writes only
-  /// this optimizer's own state (memo, stats, metrics buffer, segment
-  /// cache) and reads the shared caches through const Peek paths.
-  COLT_WORKER_SAFE std::vector<IndexGain> WhatIfOptimize(
+  std::vector<IndexGain> WhatIfOptimize(
       const Query& q, const IndexConfiguration& materialized,
       const std::vector<IndexId>& probation);
 
@@ -115,34 +98,9 @@ class QueryOptimizer {
 
   const OptimizerStats& stats() const { return stats_; }
   void ResetStats() { stats_ = OptimizerStats(); }
-  /// Folds another optimizer's counters into this one. The parallel
-  /// profiler runs probes on worker-private optimizers and absorbs their
-  /// stats here after each fan-out, so stats() keeps describing the whole
-  /// tuning stack. (optimize_calls counts one per WhatIfOptimize chunk, so
-  /// its total may exceed the serial count; whatif_calls and subplan
-  /// semantics are unchanged.)
-  void AbsorbStats(const OptimizerStats& other) {
-    stats_.optimize_calls += other.optimize_calls;
-    stats_.whatif_calls += other.whatif_calls;
-    stats_.subplan_reuses += other.subplan_reuses;
-  }
 
   const CostModel& cost_model() const { return cost_model_; }
   const Catalog& catalog() const { return *catalog_; }
-
-  /// Attaches the cross-epoch what-if plan cache (DESIGN.md §11); either
-  /// pointer may be null, and (null, null) detaches. `shared` is the frozen
-  /// epoch cache — deliberately const: this optimizer may run on a pool
-  /// worker, so it only ever Peeks (no LRU motion, no stat mutation) and
-  /// records hits/misses in its own metrics registry. `segment` is this
-  /// optimizer's private fresh-entry segment; newly computed costs land
-  /// there and the Profiler merges segments into the frozen cache at the
-  /// epoch boundary. Both must outlive this optimizer or be detached first.
-  void set_whatif_cache(const WhatIfPlanCache* shared,
-                        WhatIfPlanCache* segment) {
-    shared_cache_ = shared;
-    segment_cache_ = segment;
-  }
 
  private:
   struct AccessPath {
@@ -187,16 +145,6 @@ class QueryOptimizer {
                            std::unordered_map<TableKey, AccessPath,
                                               TableKeyHash>* memo);
 
-  /// Optimal cost of `q` under exactly `config`, served from the attached
-  /// what-if caches when possible (segment first, then a versioned Peek of
-  /// the frozen cache), computed via OptimizeInternal and inserted into the
-  /// segment otherwise. `qhash` is QueryPlanSignature(q), hoisted by the
-  /// caller so one WhatIfOptimize hashes the query once. Cached and
-  /// computed costs are bit-identical (see QueryPlanSignature).
-  COLT_WORKER_SAFE double CachedCost(
-      const Query& q, uint64_t qhash, const IndexConfiguration& config,
-      std::unordered_map<TableKey, AccessPath, TableKeyHash>* memo);
-
   /// Join selectivity of the predicate set connecting `t` to tables in
   /// `mask`; also reports one usable equi-join predicate for index-NLJ.
   double JoinSelectivity(const Query& q, uint32_t mask, TableId t,
@@ -211,10 +159,6 @@ class QueryOptimizer {
   const Catalog* catalog_;
   CostModel cost_model_;
   OptimizerStats stats_;
-  /// Frozen cross-epoch cache (Peek-only; owned by the Profiler).
-  const WhatIfPlanCache* shared_cache_ = nullptr;
-  /// Private fresh-entry segment (owned by the Profiler).
-  WhatIfPlanCache* segment_cache_ = nullptr;
 
   /// Instrument pointers fetched once from MetricsRegistry::Default();
   /// updates are no-ops until the registry is enabled.
@@ -224,10 +168,6 @@ class QueryOptimizer {
     Counter* whatif_probes;
     Counter* memo_hits;
     Counter* memo_misses;
-    Counter* cache_hits;
-    Counter* cache_misses;
-    Counter* cache_invalidations;
-    Counter* cache_inserts;
     Histogram* plan_seconds;
     Histogram* whatif_seconds;
   };

@@ -13,7 +13,6 @@ Database::Database(Catalog catalog, uint64_t seed)
     : catalog_(std::move(catalog)), rng_(seed) {
   // Publish an empty snapshot so readers never observe null.
   auto snap = std::make_unique<IndexSnapshot>();
-  snap->catalog_version = catalog_.version();
   published_snapshot_.store(snap.release(), std::memory_order_release);
 }
 
@@ -28,7 +27,6 @@ Database::~Database() {
 
 void Database::PublishIndexSnapshot() {
   auto snap = std::make_unique<IndexSnapshot>();
-  snap->catalog_version = catalog_.version();
   snap->indexes.reserve(built_indexes_.size());
   for (const auto& [id, tree] : built_indexes_) {
     snap->indexes.emplace(id, tree.get());
@@ -56,9 +54,6 @@ Status Database::MaterializeTable(TableId table, bool refresh_stats) {
     for (ColumnId c = 0; c < schema.column_count(); ++c) {
       schema.set_column_stats(c, ColumnStats::FromValues(data.column(c)));
     }
-    // New statistics change every cost estimate; cached what-if plan costs
-    // computed against the old stats must not survive (DESIGN.md §11).
-    catalog_.BumpVersion();
   }
   table_data_.emplace(table, std::move(data));
   return Status::OK();
@@ -124,7 +119,6 @@ Status Database::InstallIndex(IndexId id, std::unique_ptr<BTreeIndex> tree) {
   }
   if (built_indexes_.count(id) > 0) return Status::OK();
   built_indexes_.emplace(id, std::move(tree));
-  catalog_.BumpVersion();
   PublishIndexSnapshot();
   return Status::OK();
 }
@@ -137,7 +131,6 @@ void Database::DropIndex(IndexId id) {
   // pinned over the old snapshot keep it alive until their epoch passes.
   std::unique_ptr<BTreeIndex> doomed = std::move(it->second);
   built_indexes_.erase(it);
-  catalog_.BumpVersion();
   PublishIndexSnapshot();
   EpochManager::Global().Retire(doomed.release());
 }

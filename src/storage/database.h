@@ -32,8 +32,6 @@ class Database {
   /// and epoch-retire the old snapshot (and any dropped tree), so index
   /// changes never block or invalidate in-flight readers.
   struct IndexSnapshot {
-    /// Catalog version at publish time (diagnostics / staleness checks).
-    uint64_t catalog_version = 0;
     std::unordered_map<IndexId, const BTreeIndex*> indexes;
 
     COLT_WORKER_SAFE const BTreeIndex* Find(IndexId id) const {
@@ -73,10 +71,10 @@ class Database {
   /// followed by InstallIndex.
   COLT_OWNER_ONLY Status BuildIndex(IndexId id);
 
-  /// Stage 1 of a (possibly background) build: bulk-loads the B+-tree for
-  /// `id` without registering it. Const and touching only the catalog and
-  /// the (frozen-by-contract) table data, so it is safe to run on a pool
-  /// worker while the owning thread serves reads through other indexes —
+  /// Stage 1 of BuildIndex: bulk-loads the B+-tree for `id` without
+  /// registering it. Const and touching only the catalog and the
+  /// (frozen-by-contract) table data, so it is safe to run on another
+  /// thread while the owning thread serves reads through other indexes —
   /// provided no Materialize*/mutable_catalog call runs concurrently.
   /// Does NOT check whether `id` is already built (that read would race
   /// with the owner's installs); InstallIndex resolves duplicates.

@@ -29,6 +29,39 @@ std::vector<Query> KeyHeavyWorkload(const Catalog& catalog, int n,
   return out;
 }
 
+/// Mixed-column workload: enough repetition on a few columns for COLT to
+/// materialize, with a key-heavy core whose index it keeps wanting (and,
+/// under faults, retries).
+std::vector<Query> MixedWorkload(const Catalog& catalog, int n,
+                                 uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Query> out;
+  for (int i = 0; i < n; ++i) {
+    const int64_t lo = rng.NextInRange(0, 9000);
+    switch (rng.NextBelow(4)) {
+      case 0:
+        out.push_back(
+            MakeRangeQuery(catalog, "big", "b_val", lo % 1000, lo % 1000 + 5));
+        break;
+      case 1:
+        out.push_back(MakeRangeQuery(catalog, "small", "s_ref", lo % 1000,
+                                     lo % 1000 + 10));
+        break;
+      default:
+        out.push_back(MakeRangeQuery(catalog, "big", "b_key", lo, lo + 20));
+        break;
+    }
+  }
+  return out;
+}
+
+bool AnyEpochMaterialized(const ColtRunResult& run) {
+  for (const EpochReport& e : run.epochs) {
+    if (!e.materialized_ids.empty()) return true;
+  }
+  return false;
+}
+
 int CountActions(const std::vector<IndexAction>& actions,
                  IndexActionType type) {
   return static_cast<int>(
@@ -275,6 +308,50 @@ TEST_F(ChaosTunerTest, PhysicalModeStaysConsistentUnderBuildFaults) {
                                   ? "no detail"
                                   : chaos.violations[0].detail);
   EXPECT_GT(chaos.injected_faults, 0);
+}
+
+TEST_F(ChaosTunerTest, PhysicalModeStaysConsistentAtHalfBuildFailureRate) {
+  // Every build attempt fails with probability 0.5: physical trees must
+  // still track the materialized set through retries and quarantines.
+  Database db(MakeTestCatalog(), 7);
+  ASSERT_TRUE(db.MaterializeAll().ok());
+  Catalog* catalog = &db.mutable_catalog();
+  ColtConfig config;
+  config.storage_budget_bytes = 64LL * 1024 * 1024;
+  config.fault.Fail(fault_sites::kIndexBuild, 0.5);
+  const ChaosRunResult chaos =
+      RunChaosWorkload(catalog, MixedWorkload(*catalog, 200, 13), config, &db);
+  ASSERT_GT(chaos.injected_faults, 0);
+  EXPECT_TRUE(AnyEpochMaterialized(chaos.run));
+  EXPECT_TRUE(chaos.ok()) << (chaos.violations.empty()
+                                  ? "no detail"
+                                  : chaos.violations[0].detail);
+  EXPECT_EQ(db.BuiltIndexIds(), chaos.run.final_materialized.ids());
+}
+
+TEST_F(ChaosTunerTest, PhysicalIdleTimeBuildsTrackMaterializedSet) {
+  // kIdleTime in physical mode: a queued build bulk-loads its B+-tree at
+  // the OnIdle completion boundary, and only then joins the materialized
+  // set.
+  Database db(MakeTestCatalog(), 7);
+  ASSERT_TRUE(db.MaterializeAll().ok());
+  Catalog* catalog = &db.mutable_catalog();
+  ColtConfig config;
+  config.storage_budget_bytes = 64LL * 1024 * 1024;
+  config.scheduling_strategy = SchedulingStrategy::kIdleTime;
+  // Generous idle budget so queued builds finish within the short
+  // workload (the default 2 s/query never completes a 100k-row bulk load
+  // before the run ends).
+  config.idle_seconds_per_query = 60.0;
+  const ChaosRunResult chaos =
+      RunChaosWorkload(catalog, MixedWorkload(*catalog, 150, 17), config, &db);
+  // Some epoch must have materialized an index (the final set may be empty
+  // again: the tuner drops indexes whose benefit decays near the end).
+  EXPECT_TRUE(AnyEpochMaterialized(chaos.run));
+  EXPECT_TRUE(chaos.ok()) << (chaos.violations.empty()
+                                  ? "no detail"
+                                  : chaos.violations[0].detail);
+  EXPECT_EQ(db.BuiltIndexIds(), chaos.run.final_materialized.ids());
 }
 
 TEST_F(ChaosTunerTest, FaultFreeChaosRunMatchesPlainRun) {

@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "core/colt.h"
 #include "core/serve.h"
-#include "optimizer/whatif_cache.h"
 #include "storage/database.h"
 #include "test_util.h"
 
@@ -150,102 +149,14 @@ TEST_P(FuzzTest, InvariantsHoldOnRandomWorkloads) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range<uint64_t>(0, 20));
 
-TEST(FuzzParallelDeterminism, WorkerPoolNeverChangesResults) {
-  // Like FuzzDeterminism, but tuner B fans what-if probes and index builds
-  // across a 3-worker pool (DESIGN.md §10): every step must still be
-  // bit-identical to the serial tuner A, on random catalogs and workloads.
-  for (uint64_t seed : {5ull, 23ull, 41ull}) {
-    Rng rng_a(seed), rng_b(seed);
-    Catalog cat_a = RandomCatalog(rng_a);
-    Catalog cat_b = RandomCatalog(rng_b);
-    QueryOptimizer opt_a(&cat_a), opt_b(&cat_b);
-    ColtConfig config_a;
-    config_a.storage_budget_bytes = 64LL << 20;
-    config_a.epoch_length = 5;
-    ColtConfig config_b = config_a;
-    config_b.num_workers = 3;
-    ColtTuner tuner_a(&cat_a, &opt_a, config_a, nullptr, 5);
-    ColtTuner tuner_b(&cat_b, &opt_b, config_b, nullptr, 5);
-    for (int i = 0; i < 150; ++i) {
-      const Query qa = RandomQuery(cat_a, rng_a);
-      const Query qb = RandomQuery(cat_b, rng_b);
-      const TuningStep sa = tuner_a.OnQuery(qa);
-      const TuningStep sb = tuner_b.OnQuery(qb);
-      ASSERT_EQ(sa.plan.cost, sb.plan.cost) << "query " << i;
-      ASSERT_EQ(sa.execution_seconds, sb.execution_seconds) << "query " << i;
-      ASSERT_EQ(sa.profiling_seconds, sb.profiling_seconds) << "query " << i;
-      ASSERT_EQ(sa.whatif_calls, sb.whatif_calls) << "query " << i;
-      ASSERT_EQ(sa.actions.size(), sb.actions.size()) << "query " << i;
-    }
-    ASSERT_EQ(tuner_a.materialized().ids(), tuner_b.materialized().ids());
-    ASSERT_EQ(tuner_a.epoch_reports().size(), tuner_b.epoch_reports().size());
-  }
-}
-
-TEST(FuzzWhatIfCacheDeterminism, CacheNeverChangesResults) {
-  // Tuner A runs with the what-if plan cache disabled; tuner B runs with a
-  // deliberately tiny cache (heavy eviction churn) plus spurious external
-  // catalog version bumps injected at random points, and tuner C adds a
-  // 2-worker pool on top. Every step of all three must stay bit-identical:
-  // the cache and its invalidation machinery may only change hit rates,
-  // never a single recorded double (DESIGN.md §11).
-  for (uint64_t seed : {9ull, 27ull, 63ull}) {
-    Rng rng_a(seed), rng_b(seed), rng_c(seed);
-    Rng bumps(seed * 977ULL + 5);
-    Catalog cat_a = RandomCatalog(rng_a);
-    Catalog cat_b = RandomCatalog(rng_b);
-    Catalog cat_c = RandomCatalog(rng_c);
-    QueryOptimizer opt_a(&cat_a), opt_b(&cat_b), opt_c(&cat_c);
-    ColtConfig config_a;
-    config_a.storage_budget_bytes = 64LL << 20;
-    config_a.epoch_length = 5;
-    config_a.whatif_cache_bytes = 0;  // cache off
-    ColtConfig config_b = config_a;
-    config_b.whatif_cache_bytes = 6 * WhatIfPlanCache::kEntryBytes;
-    ColtConfig config_c = config_b;
-    config_c.num_workers = 2;
-    ColtTuner tuner_a(&cat_a, &opt_a, config_a, nullptr, 5);
-    ColtTuner tuner_b(&cat_b, &opt_b, config_b, nullptr, 5);
-    ColtTuner tuner_c(&cat_c, &opt_c, config_c, nullptr, 5);
-    for (int i = 0; i < 150; ++i) {
-      if (bumps.NextBool(0.1)) {
-        // An external stats refresh: invalidates cached plan costs on the
-        // caching tuners without touching the cacheless baseline.
-        cat_b.BumpVersion();
-        cat_c.BumpVersion();
-      }
-      const Query qa = RandomQuery(cat_a, rng_a);
-      const Query qb = RandomQuery(cat_b, rng_b);
-      const Query qc = RandomQuery(cat_c, rng_c);
-      const TuningStep sa = tuner_a.OnQuery(qa);
-      const TuningStep sb = tuner_b.OnQuery(qb);
-      const TuningStep sc = tuner_c.OnQuery(qc);
-      ASSERT_EQ(sa.plan.cost, sb.plan.cost) << "query " << i;
-      ASSERT_EQ(sa.plan.cost, sc.plan.cost) << "query " << i;
-      ASSERT_EQ(sa.execution_seconds, sb.execution_seconds) << "query " << i;
-      ASSERT_EQ(sa.execution_seconds, sc.execution_seconds) << "query " << i;
-      ASSERT_EQ(sa.profiling_seconds, sb.profiling_seconds) << "query " << i;
-      ASSERT_EQ(sa.profiling_seconds, sc.profiling_seconds) << "query " << i;
-      ASSERT_EQ(sa.whatif_calls, sb.whatif_calls) << "query " << i;
-      ASSERT_EQ(sa.whatif_calls, sc.whatif_calls) << "query " << i;
-      ASSERT_EQ(sa.actions.size(), sb.actions.size()) << "query " << i;
-      ASSERT_EQ(sa.actions.size(), sc.actions.size()) << "query " << i;
-    }
-    ASSERT_EQ(tuner_a.materialized().ids(), tuner_b.materialized().ids());
-    ASSERT_EQ(tuner_a.materialized().ids(), tuner_c.materialized().ids());
-    ASSERT_EQ(tuner_a.epoch_reports().size(), tuner_b.epoch_reports().size());
-    ASSERT_EQ(tuner_a.epoch_reports().size(), tuner_c.epoch_reports().size());
-  }
-}
-
-TEST(FuzzWrites, StatsOnlyVsPhysicalParallelBitIdenticalUnderWrites) {
+TEST(FuzzWrites, StatsOnlyVsPhysicalBitIdenticalUnderWrites) {
   // Random mixed read/write streams (~30% writes) on random catalogs,
-  // tuner A statistics-only and serial, tuner B applying every write to a
-  // real Database with a 2-worker pool — the strongest composition of the
-  // write-path invariants: maintenance charges live in model currency
-  // (DESIGN.md §16), so physical application and parallelism together must
-  // not move a single recorded double, across live index installs and
-  // drops triggered by the shifting random stream.
+  // tuner A statistics-only, tuner B applying every write to a real
+  // Database — the strongest composition of the write-path invariants:
+  // maintenance charges live in model currency (DESIGN.md §16), so
+  // physical application must not move a single recorded double, across
+  // live index installs and drops triggered by the shifting random
+  // stream.
   bool any_installs = false;
   bool any_charge = false;
   for (uint64_t seed : {2ull, 13ull, 29ull, 47ull, 61ull, 83ull}) {
@@ -258,10 +169,8 @@ TEST(FuzzWrites, StatsOnlyVsPhysicalParallelBitIdenticalUnderWrites) {
     ColtConfig config_a;
     config_a.storage_budget_bytes = 32LL << 20;
     config_a.epoch_length = 5;
-    ColtConfig config_b = config_a;
-    config_b.num_workers = 2;
     ColtTuner tuner_a(&cat_a, &opt_a, config_a, nullptr, seed);
-    ColtTuner tuner_b(&db.mutable_catalog(), &opt_b, config_b, &db, seed);
+    ColtTuner tuner_b(&db.mutable_catalog(), &opt_b, config_a, &db, seed);
 
     const int n = 120 + static_cast<int>(rng_a.NextBelow(120));
     rng_b.NextBelow(120);  // keep the two streams in lockstep

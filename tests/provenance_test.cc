@@ -66,23 +66,6 @@ TEST(ProvenanceRecorderTest, DrainKeepsIdSequenceAndCounts) {
   EXPECT_EQ(recorder.counts_by_name().at("scheduler.install"), 1);
 }
 
-TEST(ProvenanceRecorderTest, MergeFromRestampsIdsInOrder) {
-  ProvenanceRecorder owner(8);
-  ProvenanceRecorder worker(8);
-  owner.RecordEvent("colt.epoch_end");
-  worker.SetContext(2, 20);
-  worker.RecordEvent("profiler.whatif_estimate").Index(5);
-  worker.RecordEvent("profiler.whatif_estimate").Index(6);
-  owner.MergeFrom(&worker);
-  ASSERT_EQ(owner.events().size(), 3u);
-  EXPECT_EQ(owner.events()[1].id, 1);
-  EXPECT_EQ(owner.events()[1].index, 5);
-  EXPECT_EQ(owner.events()[2].id, 2);
-  EXPECT_EQ(owner.events()[2].epoch, 2);
-  EXPECT_TRUE(worker.events().empty());
-  EXPECT_EQ(owner.counts_by_name().at("profiler.whatif_estimate"), 2);
-}
-
 TEST(ProvenanceJsonlTest, RoundTripIsLossless) {
   ProvenanceRecorder recorder(8);
   recorder.SetContext(1, 12);

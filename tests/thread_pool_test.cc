@@ -1,8 +1,8 @@
 /// Unit tests for the deterministic worker pool: ordered joins, exception
 /// and Status propagation through futures, pool reuse across rounds, the
 /// zero-worker inline mode, and the per-task RNG split. The determinism
-/// claims here are the foundation the parallel-vs-serial differential
-/// tests (parallel_determinism_test.cc) build on.
+/// claims here are the foundation the multi-client serving differentials
+/// (serve_test.cc) build on.
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -143,7 +143,7 @@ TEST(ThreadPoolTest, DestructorRunsEverySubmittedTask) {
     ThreadPool pool(2);
     for (int i = 0; i < 64; ++i) {
       // Futures intentionally dropped: shutdown must still run the backlog
-      // (a staged build whose future is discarded may not be lost).
+      // (a task whose future is discarded may not be lost).
       pool.Submit([&ran] { ran.fetch_add(1); });
     }
   }

@@ -185,12 +185,11 @@ int64_t HtapBudget() {
   return BudgetForIndexes(catalog, relevant.value(), 4.0);
 }
 
-ColtRunResult RunHtap(int workers, bool charge, int64_t budget) {
+ColtRunResult RunHtap(bool charge, int64_t budget) {
   Catalog catalog = MakeTpchCatalog();
   const std::vector<Query> workload = HtapWorkload(&catalog);
   ColtConfig config;
   config.storage_budget_bytes = budget;
-  config.num_workers = workers;
   config.charge_index_maintenance = charge;
   return RunColtWorkload(&catalog, workload, config);
 }
@@ -228,8 +227,8 @@ TEST(WritePathTest, ChargingChangesDecisionsUnderHtapWrites) {
   // direction of the difference; here we gate that it exists and that
   // only the charged run folded a charge into its epochs).
   const int64_t budget = HtapBudget();
-  const ColtRunResult charged = RunHtap(0, /*charge=*/true, budget);
-  const ColtRunResult blind = RunHtap(0, /*charge=*/false, budget);
+  const ColtRunResult charged = RunHtap(/*charge=*/true, budget);
+  const ColtRunResult blind = RunHtap(/*charge=*/false, budget);
   ASSERT_GT(TotalWriteQueries(charged), 0);
   EXPECT_GT(TotalMaintenanceCharged(charged), 0.0);
   EXPECT_EQ(TotalMaintenanceCharged(blind), 0.0);
@@ -246,14 +245,6 @@ TEST(WritePathTest, ChargingChangesDecisionsUnderHtapWrites) {
   // Both runs see the same write statements and price their execution
   // identically; divergence is a tuning-decision effect, not a cost one.
   EXPECT_EQ(TotalWriteQueries(charged), TotalWriteQueries(blind));
-}
-
-TEST(WritePathTest, SerialVsFourWorkersBitIdenticalUnderWrites) {
-  const int64_t budget = HtapBudget();
-  const ColtRunResult serial = RunHtap(0, /*charge=*/true, budget);
-  ASSERT_GT(TotalWriteQueries(serial), 0);
-  ASSERT_GT(TotalMaintenanceCharged(serial), 0.0);
-  ExpectRunsBitIdentical(serial, RunHtap(4, /*charge=*/true, budget));
 }
 
 // ---------------------------------------------------------------------------
