@@ -1,4 +1,6 @@
 /// Microbenchmarks for the physical execution engine (reduced-scale data).
+#include <memory>
+
 #include <benchmark/benchmark.h>
 
 #include "micro_json_main.h"
@@ -112,6 +114,42 @@ void BM_ExecHashJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ExecHashJoin);
+
+// The hash join's worst case: every probe matches, so the bit filter in
+// front of the slots passes every probe and only adds work. No shipped
+// join template has this shape; each one filters its build side.
+void BM_ExecHashJoinAllMatch(benchmark::State& state) {
+  Fixture& f = GetFixture();
+  Executor executor(&f.db);
+  const Catalog& catalog = f.db.catalog();
+  const TableId od = catalog.FindTable("orders_0");
+  auto scan = [](TableId table) {
+    auto node = std::make_unique<PlanNode>();
+    node->type = PlanNodeType::kSeqScan;
+    node->table = table;
+    return node;
+  };
+  // Builds on every order (o_orderkey is their primary key) and probes
+  // with every lineitem, each of which has exactly one order.
+  PlanNode join;
+  join.type = PlanNodeType::kHashJoin;
+  join.join_predicate =
+      JoinPredicate{{od, catalog.table(od).FindColumn("o_orderkey")},
+                    {f.li, catalog.table(f.li).FindColumn("l_orderkey")}};
+  join.left = scan(od);
+  join.right = scan(f.li);
+  for (auto _ : state) {
+    auto result = executor.Execute(join);
+    if (!result.ok() ||
+        result->output_rows != f.db.data(f.li).live_row_count()) {
+      state.SkipWithError("not every probe matched");
+      return;
+    }
+    benchmark::DoNotOptimize(result->output_rows);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ExecHashJoinAllMatch);
 
 }  // namespace
 }  // namespace colt

@@ -56,6 +56,11 @@ inline constexpr int64_t kTupleHeaderBytes = 28;
 /// Fraction of a page usable for tuples.
 inline constexpr double kPageFillFactor = 0.9;
 
+/// Largest INSERT batch, in rows. Query::Validate and Database::InsertRows
+/// both refuse more, so no statement can ask storage to reserve an
+/// unbounded row count. The largest shipped batch is 3,000 rows.
+inline constexpr int64_t kMaxInsertRows = 1'000'000;
+
 }  // namespace colt
 
 #endif  // COLT_CATALOG_TYPES_H_

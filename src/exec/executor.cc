@@ -71,6 +71,13 @@ struct KeyColumn {
 /// Open-addressing multimap from join key to build-side tuple index,
 /// probed linearly at a load factor of at most 1/2. Each key's tuples
 /// chain through next() in build order; `count` serves a counting probe.
+///
+/// A bit filter sits in front of the slots: each build key sets the bit
+/// picked by the top bits of the same product that picks its home slot,
+/// and Find() returns before touching the slots when a probe key's bit is
+/// clear. A build key's bit is always set, so the filter never drops a
+/// match; it only turns most misses into one predictable branch
+/// (DESIGN.md §17).
 class JoinHashTable {
  public:
   struct Slot {
@@ -85,12 +92,17 @@ class JoinHashTable {
     int bits = 4;
     while ((int64_t{1} << bits) < 2 * n) ++bits;
     shift_ = 64 - bits;
+    filter_shift_ = shift_ - kFilterBitsPerSlotLog2;
     mask_ = (size_t{1} << bits) - 1;
     slots_.resize(mask_ + 1);
+    filter_.resize(((mask_ + 1) << kFilterBitsPerSlotLog2) / 64);
     // Inserting in reverse and prepending leaves each chain in build order.
     for (int64_t i = n - 1; i >= 0; --i) {
       const int64_t key = keys.at(i);
-      size_t s = Home(key);
+      const uint64_t hash = Hash(key);
+      const uint64_t bit = hash >> filter_shift_;
+      filter_[bit / 64] |= uint64_t{1} << (bit % 64);
+      size_t s = static_cast<size_t>(hash >> shift_);
       while (slots_[s].head >= 0 && slots_[s].key != key) s = (s + 1) & mask_;
       Slot& slot = slots_[s];
       slot.key = key;
@@ -102,7 +114,10 @@ class JoinHashTable {
 
   /// The slot holding `key`, or null when no build tuple has it.
   const Slot* Find(int64_t key) const {
-    for (size_t s = Home(key);; s = (s + 1) & mask_) {
+    const uint64_t hash = Hash(key);
+    const uint64_t bit = hash >> filter_shift_;
+    if (((filter_[bit / 64] >> (bit % 64)) & 1) == 0) return nullptr;
+    for (size_t s = static_cast<size_t>(hash >> shift_);; s = (s + 1) & mask_) {
       const Slot& slot = slots_[s];
       if (slot.head < 0) return nullptr;
       if (slot.key == key) return &slot;
@@ -115,15 +130,22 @@ class JoinHashTable {
   }
 
  private:
-  size_t Home(int64_t key) const {
-    // Fibonacci hashing: the top bits of key * 2^64/phi.
-    return static_cast<size_t>(
-        (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> shift_);
+  /// 32 filter bits per slot: 64-128 bits per build key, so about 1% of
+  /// the probes that miss still walk the slots. Fewer bits cost more slot
+  /// walks (DESIGN.md §17 has the sweep).
+  static constexpr int kFilterBitsPerSlotLog2 = 5;
+
+  static uint64_t Hash(int64_t key) {
+    // Fibonacci hashing: key * 2^64/phi, whose top bits pick the home slot
+    // and, with 5 more, the filter bit.
+    return static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL;
   }
 
   std::vector<Slot> slots_;
+  std::vector<uint64_t> filter_;
   std::vector<int64_t> next_;
   int shift_ = 60;
+  int filter_shift_ = 55;
   size_t mask_ = 15;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 namespace colt {
 
@@ -100,6 +101,11 @@ Status Query::Validate(const Catalog& catalog) const {
     if (kind_ == StatementKind::kInsert) {
       if (insert_rows_ < 1) {
         return Status::InvalidArgument("INSERT needs a positive row count");
+      }
+      if (insert_rows_ > kMaxInsertRows) {
+        return Status::InvalidArgument("INSERT batch exceeds " +
+                                       std::to_string(kMaxInsertRows) +
+                                       " rows");
       }
       if (!selections_.empty()) {
         return Status::InvalidArgument("INSERT cannot carry a WHERE clause");

@@ -1,6 +1,7 @@
 #include "storage/database.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -167,6 +168,10 @@ Result<Database::WriteOutcome> Database::InsertRows(TableId table,
     return Status::FailedPrecondition("table not materialized");
   }
   if (count < 0) return Status::InvalidArgument("negative insert count");
+  if (count > kMaxInsertRows) {
+    return Status::InvalidArgument("insert count exceeds " +
+                                   std::to_string(kMaxInsertRows) + " rows");
+  }
   TableData& data = table_data_.at(table);
   const TableSchema& schema = catalog_.table(table);
   WriteOutcome outcome;

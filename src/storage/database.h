@@ -107,6 +107,8 @@ class Database {
   /// re-generation stay byte-identical whether or not writes ran first.
   /// Catalog statistics are deliberately not refreshed (the tuning model
   /// keeps pricing against the trace-visible statistics; DESIGN.md §16).
+  /// A `count` outside [0, kMaxInsertRows] is InvalidArgument and leaves
+  /// the table unchanged.
   COLT_OWNER_ONLY Result<WriteOutcome> InsertRows(TableId table,
                                                   int64_t count);
 

@@ -37,6 +37,14 @@ class PlanNodeExecTest : public ::testing::Test {
                                      {"r_val", ColumnType::kInt64, 8, 3},
                                  },
                                  100));
+    // Keys from a domain of 2^40: almost every probe misses a small build.
+    catalog.AddTable(TableSchema("probe",
+                                 {
+                                     {"p_key", ColumnType::kInt64, 8,
+                                      int64_t{1} << 40},
+                                     {"p_val", ColumnType::kInt64, 8, 5},
+                                 },
+                                 20000));
     return catalog;
   }
 
@@ -90,17 +98,114 @@ TEST_F(PlanNodeExecTest, NestLoopJoinMatchesReference) {
 }
 
 TEST_F(PlanNodeExecTest, NestLoopEqualsHashJoin) {
-  for (auto type : {PlanNodeType::kNestLoopJoin, PlanNodeType::kHashJoin}) {
-    auto join = std::make_unique<PlanNode>();
-    join->type = type;
-    join->join_predicate = JoinPredicate{left_key_, right_ref_};
-    join->left = SeqScan("left", {SelectionPredicate{left_val_, 2, 2}});
-    join->right = SeqScan("right", {});
-    Executor executor(&db_);
-    auto result = executor.Execute(*join);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->output_rows, CountJoinMatches(2))
-        << PlanNodeTypeName(type);
+  // The hash join must agree with the nested loop whatever its bit filter
+  // answers: as the counting root and as a materializing input, on
+  // negative and extreme keys, repeated build keys, a one-row build side,
+  // an input where every probe matches, and a 20,000-row probe side that
+  // misses often enough for the filter to pass some misses (about 1% of
+  // them at 32 bits per slot).
+  const TableId left = db_.catalog().FindTable("left");
+  const TableId probe = db_.catalog().FindTable("probe");
+  const ColumnRef probe_key = Ref(db_.catalog(), "probe", "p_key");
+  // Left rows with l_val = 3 get distinct keys over the whole int64 range,
+  // both extremes first; rows with l_val = 4 repeat three keys. The first
+  // probe rows copy the distinct keys once and the repeated ones twice.
+  // Right rows 0-19 take r_ref 0-19, so every l_key still in [0, 20) has
+  // a match.
+  const TableId right = db_.catalog().FindTable("right");
+  for (RowId r = 0; r < 20; ++r) {
+    ASSERT_TRUE(db_.UpdateRows(right, {r}, {{right_ref_.column, r}}).ok());
+  }
+  const TableData& left_data = db_.data(left);
+  const std::vector<int64_t> repeated = {INT64_MIN, -1, 12};
+  std::vector<int64_t> distinct;
+  int64_t fours = 0;
+  for (RowId r = 0; r < left_data.row_count(); ++r) {
+    int64_t key = 0;
+    switch (left_data.value(left_val_.column, r)) {
+      case 3: {
+        const int64_t i = static_cast<int64_t>(distinct.size());
+        key = (i - 20) * int64_t{0x0300000000000001};
+        if (i == 0) key = INT64_MIN;
+        if (i == 1) key = INT64_MAX;
+        distinct.push_back(key);
+        break;
+      }
+      case 4:
+        key = repeated[static_cast<size_t>(fours++ % 3)];
+        break;
+      default:
+        continue;
+    }
+    ASSERT_TRUE(db_.UpdateRows(left, {r}, {{left_key_.column, key}}).ok());
+  }
+  std::vector<int64_t> copies = distinct;
+  for (int k = 0; k < 2; ++k) {
+    copies.insert(copies.end(), repeated.begin(), repeated.end());
+  }
+  for (size_t i = 0; i < copies.size(); ++i) {
+    ASSERT_TRUE(db_.UpdateRows(probe, {static_cast<RowId>(i)},
+                               {{probe_key.column, copies[i]}})
+                    .ok());
+  }
+
+  // `build` names the smaller side, which the hash join builds on.
+  struct Input {
+    const char* name;
+    const char* build;
+    std::vector<SelectionPredicate> build_filters;
+    const char* probe;
+    std::vector<SelectionPredicate> probe_filters;
+    JoinPredicate on;
+  };
+  const std::vector<Input> inputs = {
+      {"keys repeat on both sides", "left", {{left_val_, 2, 2}}, "right", {},
+       {left_key_, right_ref_}},
+      {"distinct and extreme build keys", "left", {{left_val_, 3, 3}},
+       "probe", {}, {left_key_, probe_key}},
+      {"repeated build keys", "left", {{left_val_, 4, 4}}, "probe", {},
+       {left_key_, probe_key}},
+      {"one-row build", "left",
+       {{left_val_, 3, 3}, {left_key_, INT64_MIN, INT64_MIN}}, "probe", {},
+       {left_key_, probe_key}},
+      {"every probe matches", "right", {}, "left", {{left_val_, 0, 2}},
+       {right_ref_, left_key_}},
+  };
+
+  Executor executor(&db_);
+  for (const Input& in : inputs) {
+    for (const bool root : {true, false}) {
+      int64_t rows[2] = {0, 0};
+      for (const PlanNodeType type :
+           {PlanNodeType::kNestLoopJoin, PlanNodeType::kHashJoin}) {
+        auto plan = std::make_unique<PlanNode>();
+        plan->type = type;
+        plan->join_predicate = in.on;
+        plan->left = SeqScan(in.build, in.build_filters);
+        plan->right = SeqScan(in.probe, in.probe_filters);
+        if (!root) {
+          // A nested loop over the one row with l_key = INT64_MAX, whose
+          // predicate compares a column with itself, keeps every tuple the
+          // join materialized.
+          auto over = std::make_unique<PlanNode>();
+          over->type = PlanNodeType::kNestLoopJoin;
+          over->join_predicate = JoinPredicate{left_val_, left_val_};
+          over->left = std::move(plan);
+          over->right = SeqScan("left", {{left_key_, INT64_MAX, INT64_MAX}});
+          plan = std::move(over);
+        }
+        auto result = executor.Execute(*plan);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        rows[type == PlanNodeType::kHashJoin] = result->output_rows;
+      }
+      const std::string context =
+          std::string(in.name) + (root ? ", counting root" : ", materialized");
+      EXPECT_GT(rows[0], 0) << context;
+      EXPECT_EQ(rows[1], rows[0]) << context;
+      if (&in == &inputs.front()) {
+        EXPECT_EQ(rows[0], CountJoinMatches(2)) << context;
+      }
+    }
   }
 }
 

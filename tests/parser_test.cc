@@ -133,6 +133,25 @@ TEST_F(ParserTest, InsertStatement) {
   EXPECT_TRUE(q->selections().empty());
 }
 
+TEST_F(ParserTest, InsertBatchIsCappedAtKMaxInsertRows) {
+  // A larger batch once reached Database::InsertRows, whose reserve threw
+  // std::length_error on `ROWS 9223372036854775807`.
+  auto at_cap =
+      parser_.Parse("INSERT INTO big ROWS " + std::to_string(kMaxInsertRows));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->insert_rows(), kMaxInsertRows);
+  for (const std::string& rows : {std::to_string(kMaxInsertRows + 1),
+                                  std::to_string(INT64_MAX)}) {
+    auto over = parser_.Parse("INSERT INTO big ROWS " + rows);
+    EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument) << rows;
+  }
+  const TableId big = catalog_.FindTable("big");
+  EXPECT_TRUE(Query::MakeInsert(big, kMaxInsertRows).Validate(catalog_).ok());
+  EXPECT_EQ(
+      Query::MakeInsert(big, kMaxInsertRows + 1).Validate(catalog_).code(),
+      StatusCode::kInvalidArgument);
+}
+
 TEST_F(ParserTest, UpdateStatementWithWhere) {
   auto q = parser_.Parse(
       "UPDATE big SET b_val = 7 WHERE big.b_key BETWEEN 5 AND 10");

@@ -1,6 +1,7 @@
 #include "storage/database.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -159,6 +160,27 @@ TEST(Database, IndexContentMatchesColumn) {
   EXPECT_EQ(rows, expected);
 }
 
+TEST(Database, InsertRowsRefusesBatchesOverTheCap) {
+  Database db(testing::MakeTestCatalog(), 13);
+  ASSERT_TRUE(db.MaterializeTable(1).ok());
+  auto desc = db.mutable_catalog().IndexOn(
+      testing::Ref(db.catalog(), "small", "s_val"));
+  ASSERT_TRUE(desc.ok());
+  ASSERT_TRUE(db.BuildIndex(desc->id).ok());
+  const TableData& data = db.data(1);
+  const int64_t rows = data.row_count();
+  for (const int64_t count : {kMaxInsertRows + 1, INT64_MAX}) {
+    EXPECT_EQ(db.InsertRows(1, count).status().code(),
+              StatusCode::kInvalidArgument)
+        << count;
+    EXPECT_EQ(data.row_count(), rows);
+    EXPECT_EQ(data.live_row_count(), rows);
+    EXPECT_EQ(db.index(desc->id).entry_count(), rows);
+  }
+  ASSERT_TRUE(db.InsertRows(1, 1).ok());
+  EXPECT_EQ(data.row_count(), rows + 1);
+  EXPECT_EQ(db.index(desc->id).entry_count(), rows + 1);
+}
 
 TEST(TableData, SkewedColumnFollowsZipf) {
   Catalog catalog;
