@@ -2,6 +2,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "micro_json_main.h"
 
@@ -29,25 +31,37 @@ void BM_BTreeInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeInsert)->Arg(1000)->Arg(10000)->Arg(100000);
 
-/// Bulk load of n entries with row ids ascending and keys uniform over
-/// [0, span). The span = n cases spread the keys; 300k entries over
-/// spans of 500 and 25,000 match lineitem_0's indexed columns, the shape
-/// of an index build (Database::PrepareIndex).
-void BM_BTreeBulkLoad(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  const int64_t span = state.range(1);
+/// n entries with row ids ascending and keys uniform over [0, span).
+std::vector<std::pair<int64_t, RowId>> BuildShapedEntries(int64_t n,
+                                                          int64_t span) {
   Rng rng(42);
   std::vector<std::pair<int64_t, RowId>> entries;
-  entries.reserve(n);
+  entries.reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     entries.emplace_back(static_cast<int64_t>(rng.NextBelow(span)), i);
   }
+  return entries;
+}
+
+/// Bulk load of BuildShapedEntries(n, span). The span = n cases spread
+/// the keys; 300k entries over spans of 500, 25,000 and 75,000 match
+/// lineitem_0's indexed columns (l_orderkey spans 75,000), the shape of
+/// an index build (Database::PrepareIndex). Only the load is timed: the
+/// input copy and the tree's destruction are not (BM_BTreeTeardown
+/// prices the latter).
+void BM_BTreeBulkLoad(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const std::vector<std::pair<int64_t, RowId>> entries =
+      BuildShapedEntries(n, state.range(1));
   for (auto _ : state) {
     state.PauseTiming();
-    BTreeIndex tree;
+    auto tree = std::make_unique<BTreeIndex>();
     auto copy = entries;
     state.ResumeTiming();
-    benchmark::DoNotOptimize(tree.BulkLoad(std::move(copy)).ok());
+    benchmark::DoNotOptimize(tree->BulkLoad(std::move(copy)).ok());
+    state.PauseTiming();
+    tree.reset();
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -56,7 +70,28 @@ BENCHMARK(BM_BTreeBulkLoad)
     ->Args({100000, 100000})
     ->Args({1000000, 1000000})
     ->Args({300000, 500})
-    ->Args({300000, 25000});
+    ->Args({300000, 25000})
+    ->Args({300000, 75000});
+
+/// Destruction of a bulk-loaded build-shaped tree: what the epoch
+/// manager's TryReclaim pays on the owner thread for each dropped index.
+/// Each iteration builds a tree untimed, which costs far more than the
+/// timed teardown, so the iteration count is fixed rather than grown
+/// until the timed part fills --benchmark_min_time.
+void BM_BTreeTeardown(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const std::vector<std::pair<int64_t, RowId>> entries =
+      BuildShapedEntries(n, state.range(1));
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto tree = std::make_unique<BTreeIndex>();
+    ColtIgnoreStatus(tree->BulkLoad(entries));
+    state.ResumeTiming();
+    tree.reset();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_BTreeTeardown)->Args({300000, 75000})->Iterations(50);
 
 void BM_BTreeRangeScan(benchmark::State& state) {
   const int64_t n = 1'000'000;

@@ -60,7 +60,10 @@ struct Pipeline {
   size_t retired = 0;
   /// One slot per trace position; a position's result is stored once.
   std::vector<ServedQuery>* served = nullptr;
+  /// One executor per client, then the owner's.
   const std::vector<std::unique_ptr<Executor>>* executors = nullptr;
+  /// The segment holding (or after) the owner's last claim (owner-only).
+  size_t owner_segment = 0;
 
   Mutex mu;
   /// Clients wait here for their segment to be published.
@@ -116,41 +119,69 @@ COLT_WORKER_SAFE ServedQuery ServePlannedQuery(
   return served;
 }
 
-/// One client's pool task for the whole trace. It claims trace positions
-/// one at a time from the shared cursor, waits until the segment holding
-/// each is published, runs it against that segment's pinned snapshot and
-/// stores the result into the position's slot. Writes belong to the
-/// owner: a client that claims one moves on, and the reads after it wait
-/// until the owner has applied it and published their segment.
+/// Serves claimed trace position `i` for `client` (or the owner): the
+/// per-position body of every claimer. `*s` is the claimer's segment hint,
+/// the segment holding (or after) its previous claim; claims ascend, so it
+/// only moves forward. A write belongs to the owner's loop, so its
+/// position is skipped. A read waits until its segment is published, runs
+/// against that segment's pinned snapshot, and stores its result into the
+/// position's slot.
+COLT_WORKER_SAFE void ServePosition(Pipeline* p, size_t i, size_t* s,
+                                    Executor* executor, int client) {
+  while (*s < p->segments.size() && p->segments[*s].end <= i) ++*s;
+  if (*s == p->segments.size() || i < p->segments[*s].begin) return;
+  if (p->published.load(std::memory_order_acquire) <= *s) {
+    MutexLock lock(&p->mu);
+    while (p->published.load(std::memory_order_acquire) <= *s) {
+      p->published_cv.Wait(&p->mu);
+    }
+  }
+  InFlight& segment = p->ring[*s % kPipelineDepth];
+  const PlanResult& plan = segment.plans[i - p->segments[*s].begin];
+  (*p->served)[i] =
+      ServePlannedQuery(executor, *plan.plan, plan.cost,
+                        static_cast<int64_t>(i), client, segment.snapshot);
+  // The release half hands this query's result and metrics to the owner,
+  // whose acquire load sees the segment complete. The owner checks
+  // `completed` under `mu` before it waits and the last claimer notifies
+  // under `mu`, so the wakeup cannot fall between the two.
+  if (segment.completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+      p->segments[*s].size()) {
+    MutexLock lock(&p->mu);
+    p->completed_cv.NotifyOne();
+  }
+}
+
+/// One client's pool task for the whole trace: it claims trace positions
+/// one at a time from the shared cursor and serves each. A client that
+/// claims a write moves on, and the reads after it wait until the owner
+/// has applied it and published their segment.
 COLT_WORKER_SAFE void ServeClientTrace(Pipeline* p, int client) {
   Executor* executor = (*p->executors)[static_cast<size_t>(client)].get();
   const size_t count = p->trace->size();
-  size_t s = 0;  // the segment holding (or after) the last claim
+  size_t s = 0;
   for (size_t i = p->cursor.fetch_add(1, std::memory_order_relaxed);
        i < count; i = p->cursor.fetch_add(1, std::memory_order_relaxed)) {
-    while (s < p->segments.size() && p->segments[s].end <= i) ++s;
-    if (s == p->segments.size() || i < p->segments[s].begin) continue;
-    if (p->published.load(std::memory_order_acquire) <= s) {
-      MutexLock lock(&p->mu);
-      while (p->published.load(std::memory_order_acquire) <= s) {
-        p->published_cv.Wait(&p->mu);
-      }
-    }
-    InFlight& segment = p->ring[s % kPipelineDepth];
-    const PlanResult& plan = segment.plans[i - p->segments[s].begin];
-    (*p->served)[i] =
-        ServePlannedQuery(executor, *plan.plan, plan.cost,
-                          static_cast<int64_t>(i), client, segment.snapshot);
-    // The release half hands this query's result and metrics to the
-    // owner, whose acquire load sees the segment complete. The owner
-    // checks `completed` under `mu` before it waits and the last client
-    // notifies under `mu`, so the wakeup cannot fall between the two.
-    if (segment.completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        p->segments[s].size()) {
-      MutexLock lock(&p->mu);
-      p->completed_cv.NotifyOne();
+    ServePosition(p, i, &s, executor, client);
+  }
+}
+
+/// Claims, for the owner, the next unclaimed trace position of a published
+/// segment, never one past the last published segment (the owner is the
+/// one who would publish it). Returns false when every published position
+/// is claimed.
+bool ClaimPublished(Pipeline* p, size_t* position) {
+  const size_t published = p->published.load(std::memory_order_relaxed);
+  if (published == 0) return false;
+  const size_t limit = p->segments[published - 1].end;
+  size_t i = p->cursor.load(std::memory_order_relaxed);
+  while (i < limit) {
+    if (p->cursor.compare_exchange_weak(i, i + 1, std::memory_order_relaxed)) {
+      *position = i;
+      return true;
     }
   }
+  return false;
 }
 
 /// Plans segment `s` against `config`, pins the current epoch, captures
@@ -178,13 +209,22 @@ void PublishSegment(Pipeline* p, size_t s, const Database& db,
 /// Drops the pin and plans of the oldest in-flight segment, waiting for
 /// its last query to complete first when `wait` is set. Returns false
 /// (and leaves it in flight) when it has not completed and `wait` is not
-/// set.
+/// set. Waiting is work-conserving: while any read of a published segment
+/// is unclaimed, the owner claims and serves it instead of blocking.
+/// Nothing becomes claimable while the owner waits (only it publishes), so
+/// once it finds nothing it blocks until the segment completes.
 bool RetireOldest(Pipeline* p, bool wait) {
   const size_t s = p->retired;
   InFlight& segment = p->ring[s % kPipelineDepth];
   const size_t size = p->segments[s].size();
   if (segment.completed.load(std::memory_order_acquire) < size) {
     if (!wait) return false;
+    size_t i = 0;
+    while (segment.completed.load(std::memory_order_acquire) < size &&
+           ClaimPublished(p, &i)) {
+      ServePosition(p, i, &p->owner_segment, p->executors->back().get(),
+                    ServedQuery::kOwner);
+    }
     MutexLock lock(&p->mu);
     while (segment.completed.load(std::memory_order_acquire) < size) {
       p->completed_cv.Wait(&p->mu);
@@ -216,8 +256,8 @@ void Drain(Pipeline* p) {
   }
 }
 
-/// Folds the clients' metrics buffers into the main registry in slot
-/// order and resets them. Clients must be quiescent.
+/// Folds the metrics buffers of the clients, then the owner's, into the
+/// main registry in slot order and resets them. Clients must be quiescent.
 void MergeClientMetrics(
     const std::vector<std::unique_ptr<MetricsRegistry>>& registries) {
   for (const auto& registry : registries) {
@@ -305,15 +345,18 @@ ServeResult ServeWorkload(Database* db, QueryOptimizer* optimizer,
   const int clients = options.client_threads;
 
   // Per-client executors with per-client metrics buffers (per-worker-buffer
-  // rule, DESIGN.md §10): client instruments never race on Default().
+  // rule, DESIGN.md §10): client instruments never race on Default(). The
+  // last slot is the owner's, for the reads it serves while it would
+  // otherwise wait.
   std::vector<std::unique_ptr<MetricsRegistry>> registries;
   std::vector<std::unique_ptr<Executor>> executors;
-  registries.reserve(static_cast<size_t>(clients));
-  executors.reserve(static_cast<size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
+  registries.reserve(static_cast<size_t>(clients) + 1);
+  executors.reserve(static_cast<size_t>(clients) + 1);
+  for (int c = 0; c <= clients; ++c) {
     registries.push_back(std::make_unique<MetricsRegistry>());
     registries.back()->set_enabled(MetricsRegistry::Default().enabled());
-    executors.push_back(std::make_unique<Executor>(db, registries.back().get()));
+    executors.push_back(
+        std::make_unique<Executor>(db, registries.back().get()));
   }
 
   // Serving epochs track the tuner's epochs so configuration changes land

@@ -24,7 +24,8 @@ namespace colt {
 /// reads inside one tuner epoch that crosses no write (on a read-only
 /// trace, a segment is an epoch). For each segment the owner
 ///
-///   1. waits while a fixed number of segments are still in flight;
+///   1. waits while a fixed number of segments are still in flight,
+///      serving reads itself while any is left unclaimed (below);
 ///   2. plans the segment's queries against the materialized
 ///      configuration (everything the tuner decided through the previous
 ///      statement);
@@ -41,6 +42,14 @@ namespace colt {
 /// store the result into the position's slot of the output. The owner
 /// drops a segment's pin once its last query completes, so trees the
 /// tuner dropped are freed as soon as no in-flight segment can read them.
+///
+/// The owner is work-conserving. Wherever it would wait for a segment to
+/// complete (step 1, a write fence, an epoch-end hook, the end of the
+/// trace), it claims the next position from the same cursor instead, as
+/// long as that position lies in a published segment, and serves it like
+/// a client, with its own executor and metrics buffer. It blocks only
+/// once every published read is claimed; nothing new becomes claimable
+/// until it publishes again.
 ///
 /// A write is a fence: the owner waits until every read before it has
 /// completed (no read after it is published yet), applies it through the
@@ -69,14 +78,15 @@ struct ServeOptions {
 
 /// One executed query of the trace.
 struct ServedQuery {
-  /// `client` of a write: the owner applied it.
+  /// `client` of a statement the owner executed.
   static constexpr int kOwner = -1;
 
   /// Position in the input trace.
   int64_t trace_index = 0;
-  /// For a read, the client in [0, N) that claimed and executed it; for a
-  /// write, kOwner. Which client claims a read depends on scheduling, so
-  /// this field, like latency_seconds, is excluded from differential
+  /// For a read, the client in [0, N) that claimed and executed it, or
+  /// kOwner when the owner served it instead of waiting; for a write,
+  /// always kOwner. Who claims a read depends on scheduling, so this
+  /// field, like latency_seconds, is excluded from differential
   /// comparisons.
   int client = 0;
   /// Whether execution succeeded; failures record the status text and a

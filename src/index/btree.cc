@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
+#include <new>
 #include <utility>
 
 namespace colt {
@@ -31,30 +33,52 @@ constexpr uint64_t kInitialVersion = 2;
 /// the version re-validation discards inconsistent snapshots. Capacities
 /// are fixed at construction (keys/values: fanout; children: fanout + 1),
 /// and `count` never exceeds them even mid-write, so any count a reader
-/// observes keeps its indexing in bounds.
+/// observes keeps its indexing in bounds. A node and its cell arrays are
+/// one heap block: Make allocates it and Free releases it.
 struct BTreeIndex::Node {
   std::atomic<uint64_t> version;
   const bool is_leaf;
   std::atomic<int32_t> count{0};
-  std::unique_ptr<std::atomic<int64_t>[]> keys;
+  std::atomic<int64_t>* keys = nullptr;
   // Leaf: values[i] corresponds to keys[i].
-  std::unique_ptr<std::atomic<RowId>[]> values;
+  std::atomic<RowId>* values = nullptr;
   // Internal: count + 1 live children; subtree children[i] holds keys <
   // keys[i]; children[i+1] holds keys >= keys[i].
-  std::unique_ptr<std::atomic<Node*>[]> children;
+  std::atomic<Node*>* children = nullptr;
   std::atomic<Node*> next_leaf{nullptr};
 
-  Node(bool leaf, int32_t fanout, uint64_t initial_version)
-      : version(initial_version),
-        is_leaf(leaf),
-        keys(std::make_unique<std::atomic<int64_t>[]>(
-            static_cast<size_t>(fanout))),
-        values(leaf ? std::make_unique<std::atomic<RowId>[]>(
-                          static_cast<size_t>(fanout))
-                    : nullptr),
-        children(leaf ? nullptr
-                      : std::make_unique<std::atomic<Node*>[]>(
-                            static_cast<size_t>(fanout) + 1)) {}
+  Node(bool leaf, uint64_t initial_version)
+      : version(initial_version), is_leaf(leaf) {}
+
+  static Node* Make(bool leaf, int32_t fanout, uint64_t initial_version) {
+    // Every cell is 8 bytes and 8-aligned, and so is the header's size,
+    // so the arrays follow the header back to back.
+    static_assert(sizeof(Node) % alignof(std::atomic<int64_t>) == 0);
+    static_assert(sizeof(std::atomic<RowId>) == sizeof(std::atomic<int64_t>));
+    static_assert(sizeof(std::atomic<Node*>) == sizeof(std::atomic<int64_t>));
+    const size_t f = static_cast<size_t>(fanout);
+    const size_t cells = f + (leaf ? f : f + 1);
+    unsigned char* block = static_cast<unsigned char*>(
+        ::operator new(sizeof(Node) + cells * sizeof(std::atomic<int64_t>)));
+    Node* node = ::new (block) Node(leaf, initial_version);
+    unsigned char* payload = block + sizeof(Node);
+    // Value-initialized: every cell starts at zero.
+    node->keys = ::new (payload) std::atomic<int64_t>[f]();
+    payload += f * sizeof(std::atomic<int64_t>);
+    if (leaf) {
+      node->values = ::new (payload) std::atomic<RowId>[f]();
+    } else {
+      node->children = ::new (payload) std::atomic<Node*>[f + 1]();
+    }
+    return node;
+  }
+
+  /// The cells are trivially destructible, so only the header's
+  /// destructor runs.
+  static void Free(Node* node) {
+    node->~Node();
+    ::operator delete(node);
+  }
 };
 
 BTreeIndex::BTreeIndex(int32_t fanout) : fanout_(std::max(4, fanout)) {}
@@ -97,7 +121,7 @@ void BTreeIndex::FreeTree(Node* node) {
           std::memory_order_relaxed));
     }
   }
-  delete node;
+  Node::Free(node);
 }
 
 // ---------------------------------------------------------------------------
@@ -182,7 +206,7 @@ void BTreeIndex::SplitChildLocked(Node* parent, size_t i, Node* child) {
   const int32_t mid = ccount / 2;
   const int64_t separator =
       child->keys[static_cast<size_t>(mid)].load(std::memory_order_relaxed);
-  Node* right = new Node(child->is_leaf, fanout_, kInitialVersion);
+  Node* right = Node::Make(child->is_leaf, fanout_, kInitialVersion);
   if (child->is_leaf) {
     for (int32_t j = mid; j < ccount; ++j) {
       const size_t src = static_cast<size_t>(j);
@@ -256,7 +280,7 @@ void BTreeIndex::InsertIntoLeafLocked(Node* leaf, int64_t key, RowId row) {
 bool BTreeIndex::InsertIntoEmpty(int64_t key, RowId row) {
   // Publish the root locked: counters and the first entry are finalized
   // before any other thread can read or lock it.
-  Node* leaf = new Node(/*leaf=*/true, fanout_, kInitialVersion | kLockBit);
+  Node* leaf = Node::Make(/*leaf=*/true, fanout_, kInitialVersion | kLockBit);
   leaf->keys[0].store(key, std::memory_order_relaxed);
   leaf->values[0].store(row, std::memory_order_relaxed);
   leaf->count.store(1, std::memory_order_relaxed);
@@ -264,7 +288,7 @@ bool BTreeIndex::InsertIntoEmpty(int64_t key, RowId row) {
   if (!root_.compare_exchange_strong(expected, leaf,
                                      std::memory_order_acq_rel,
                                      std::memory_order_relaxed)) {
-    delete leaf;  // another thread created the root first
+    Node::Free(leaf);  // another thread created the root first
     return false;
   }
   leaf_count_.store(1, std::memory_order_release);
@@ -282,7 +306,7 @@ void BTreeIndex::SplitRoot(Node* root, uint64_t version) {
   }
   // With the current root locked no other writer can split it or publish a
   // new root, so the swap below is unique.
-  Node* new_root = new Node(/*leaf=*/false, fanout_,
+  Node* new_root = Node::Make(/*leaf=*/false, fanout_,
                             kInitialVersion | kLockBit);
   new_root->children[0].store(root, std::memory_order_relaxed);
   SplitChildLocked(new_root, 0, root);
@@ -449,148 +473,127 @@ bool BTreeIndex::Erase(int64_t key, RowId row) {
 
 namespace {
 
-using Entry = std::pair<int64_t, RowId>;
+/// Widest digit of the bulk loads' LSD radix sort. A pass scatters into
+/// one write stream per bucket, and 2^11 of them stay cache-resident.
+constexpr int kMaxDigitBits = 11;
 
-/// One stable counting-sort pass of BulkLoad's LSD radix sort: it orders
-/// entries by bits [shift, shift + width) of (field − base), read as
-/// uint64, where the field is the key or the row id.
-struct RadixPass {
-  bool row_digit;
-  uint64_t base;
-  int shift;
-  uint64_t mask;
+/// A (key, row) pair packed into one word, key − min_key above row −
+/// min_row, so that word order is (key, row) order. Valid when the two
+/// offsets fit 64 bits together.
+struct PackedEntry {
+  int64_t min_key;
+  RowId min_row;
+  int row_bits;
 
-  size_t Digit(const Entry& e) const {
-    const uint64_t field =
-        static_cast<uint64_t>(row_digit ? e.second : e.first);
-    return static_cast<size_t>(((field - base) >> shift) & mask);
+  uint64_t Pack(int64_t key, RowId row) const {
+    const uint64_t row_offset =
+        static_cast<uint64_t>(row) - static_cast<uint64_t>(min_row);
+    // At 64 row bits every key is min_key: its offset is 0.
+    if (row_bits == 64) return row_offset;
+    return ((static_cast<uint64_t>(key) - static_cast<uint64_t>(min_key))
+            << row_bits) |
+           row_offset;
+  }
+  int64_t Key(uint64_t word) const {
+    if (row_bits == 64) return min_key;
+    return static_cast<int64_t>(static_cast<uint64_t>(min_key) +
+                                (word >> row_bits));
+  }
+  RowId Row(uint64_t word) const {
+    const uint64_t mask =
+        row_bits == 64 ? ~uint64_t{0} : (uint64_t{1} << row_bits) - 1;
+    return static_cast<RowId>(static_cast<uint64_t>(min_row) +
+                              (word & mask));
   }
 };
 
-/// Appends the passes that sort the values in [lo, hi] by the digits of
-/// (value − lo): the fewest equal-width digits of at most `max_width`
-/// bits, least significant first. Nothing when lo == hi.
-void AddRadixPasses(bool row_digit, int64_t lo, int64_t hi, int max_width,
-                    std::vector<RadixPass>* passes) {
-  const uint64_t base = static_cast<uint64_t>(lo);
-  const int bits =
-      static_cast<int>(std::bit_width(static_cast<uint64_t>(hi) - base));
-  if (bits == 0) return;
-  const int digits = (bits + max_width - 1) / max_width;
-  const int width = (bits + digits - 1) / digits;
-  for (int d = 0; d < digits; ++d) {
-    passes->push_back(
-        {row_digit, base, d * width, (uint64_t{1} << width) - 1});
-  }
+/// Bit width of hi − lo, read as uint64 (0 when they are equal).
+int SpanBits(int64_t lo, int64_t hi) {
+  return static_cast<int>(
+      std::bit_width(static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)));
 }
 
-/// Histograms `pass`'s digits over `entries` into `counts` (resized to
-/// the pass's bucket count) and turns them into exclusive prefix sums:
-/// `counts[d]` becomes the sorted position of the first entry with digit d.
-void DigitOffsets(const std::vector<Entry>& entries, const RadixPass& pass,
-                  std::vector<size_t>* counts) {
-  counts->assign(static_cast<size_t>(pass.mask) + 1, 0);
-  for (const Entry& e : entries) ++(*counts)[pass.Digit(e)];
-  size_t sum = 0;
-  for (size_t& c : *counts) sum += std::exchange(c, sum);
-}
+/// The digits a stable LSD radix sort orders packed words by: the fewest
+/// equal-width digits of at most kMaxDigitBits that cover bits
+/// [low_bit, low_bit + sort_bits), each with its own histogram. The caller
+/// fills the histograms (Count) in the same read that packs the words.
+class RadixDigits {
+ public:
+  RadixDigits(int low_bit, int sort_bits)
+      : low_bit_(low_bit),
+        count_((sort_bits + kMaxDigitBits - 1) / kMaxDigitBits),
+        width_(count_ == 0 ? 0 : (sort_bits + count_ - 1) / count_),
+        buckets_(size_t{1} << width_),
+        counts_(static_cast<size_t>(count_) * buckets_) {}
+
+  void Count(uint64_t word) {
+    for (int d = 0; d < count_; ++d) ++counts_[Index(d, word)];
+  }
+
+  /// Sorts `n` counted words; `*words` ends up holding them in order. A
+  /// digit every word shares is skipped. Allocates one scratch array of
+  /// `n` words when a pass runs and frees it before returning.
+  void Sort(size_t n, std::unique_ptr<uint64_t[]>* words) {
+    std::unique_ptr<uint64_t[]> scratch;
+    for (int d = 0; d < count_; ++d) {
+      size_t* offsets = counts_.data() + static_cast<size_t>(d) * buckets_;
+      if (std::find(offsets, offsets + buckets_, n) != offsets + buckets_) {
+        continue;
+      }
+      size_t sum = 0;
+      for (size_t b = 0; b < buckets_; ++b) {
+        sum += std::exchange(offsets[b], sum);
+      }
+      if (scratch == nullptr) {
+        scratch = std::make_unique_for_overwrite<uint64_t[]>(n);
+      }
+      const uint64_t* from = words->get();
+      const int shift = low_bit_ + d * width_;
+      const uint64_t mask = buckets_ - 1;
+      for (size_t i = 0; i < n; ++i) {
+        scratch[offsets[(from[i] >> shift) & mask]++] = from[i];
+      }
+      std::swap(*words, scratch);
+    }
+  }
+
+ private:
+  size_t Index(int d, uint64_t word) const {
+    return static_cast<size_t>(d) * buckets_ +
+           ((word >> (low_bit_ + d * width_)) & (buckets_ - 1));
+  }
+
+  int low_bit_;
+  int count_;
+  int width_;
+  size_t buckets_;
+  std::vector<size_t> counts_;
+};
 
 }  // namespace
 
-Status BTreeIndex::BulkLoad(std::vector<std::pair<int64_t, RowId>> entries) {
-  if (root_.load(std::memory_order_acquire) != nullptr) {
-    return Status::FailedPrecondition("BulkLoad requires an empty tree");
-  }
-  if (entries.empty()) return Status::OK();
-  const size_t n = entries.size();
-
-  // Sort (key, row) pairs with a stable LSD radix sort: row digits first,
-  // then key digits, which yields lexicographic (key, row) order. When
-  // the rows already ascend (Database::PrepareIndex passes them in row
-  // order), equal keys keep their input order, so the row passes would
-  // move nothing and are skipped.
-  int64_t min_key = entries[0].first, max_key = min_key;
-  RowId min_row = entries[0].second, max_row = min_row;
-  bool rows_ascend = true;
-  for (size_t i = 1; i < n; ++i) {
-    const auto [key, row] = entries[i];
-    min_key = std::min(min_key, key);
-    max_key = std::max(max_key, key);
-    min_row = std::min(min_row, row);
-    max_row = std::max(max_row, row);
-    rows_ascend = rows_ascend && row >= entries[i - 1].second;
-  }
-  // Digits of up to 16 bits, narrowed for small inputs so that a count
-  // table never dwarfs the entries it sorts.
-  const int max_width =
-      std::clamp(static_cast<int>(std::bit_width(n)), 8, 16);
-  std::vector<RadixPass> passes;
-  if (!rows_ascend) {
-    AddRadixPasses(/*row_digit=*/true, min_row, max_row, max_width, &passes);
-  }
-  AddRadixPasses(/*row_digit=*/false, min_key, max_key, max_width, &passes);
-  // Input that is already sorted still goes through one (identity) pass,
-  // which copies it into the leaves.
-  if (passes.empty()) passes.push_back({false, 0, 0, 0});
-
-  // All passes but the last ping-pong between `entries` and one scratch
-  // array; the last one scatters straight into leaf slots.
-  std::vector<size_t> offsets;
-  std::vector<Entry> scratch;
-  if (passes.size() > 1) scratch.resize(n);
-  std::vector<Entry>* src = &entries;
-  std::vector<Entry>* dst = &scratch;
-  for (size_t p = 0; p + 1 < passes.size(); ++p) {
-    DigitOffsets(*src, passes[p], &offsets);
-    for (const Entry& e : *src) (*dst)[offsets[passes[p].Digit(e)]++] = e;
-    std::swap(src, dst);
-  }
-  std::vector<Entry>().swap(*dst);  // free the array the last pass skips
-
+template <typename KeyAt, typename RowAt>
+void BTreeIndex::BuildFromSorted(size_t n, KeyAt key_at, RowAt row_at) {
   // The structure is private until the root is published below, so plain
-  // relaxed stores suffice while building. Leaves are packed full in
-  // sorted order: position i lands in leaf i / fanout, slot i % fanout.
+  // relaxed stores suffice while building. Leaves are packed full from the
+  // sorted sequence, in order.
   std::vector<Node*> level;
   const size_t per_leaf = static_cast<size_t>(fanout_);
   level.reserve((n + per_leaf - 1) / per_leaf);
   for (size_t start = 0; start < n; start += per_leaf) {
-    Node* leaf = new Node(/*leaf=*/true, fanout_, kInitialVersion);
-    leaf->count.store(static_cast<int32_t>(std::min(n - start, per_leaf)),
+    const size_t end = std::min(n, start + per_leaf);
+    Node* leaf = Node::Make(/*leaf=*/true, fanout_, kInitialVersion);
+    for (size_t i = start; i < end; ++i) {
+      leaf->keys[i - start].store(key_at(i), std::memory_order_relaxed);
+      leaf->values[i - start].store(row_at(i), std::memory_order_relaxed);
+    }
+    leaf->count.store(static_cast<int32_t>(end - start),
                       std::memory_order_relaxed);
     if (!level.empty()) {
       level.back()->next_leaf.store(leaf, std::memory_order_relaxed);
     }
     level.push_back(leaf);
   }
-  // Last pass: each digit's run of sorted positions becomes a (leaf, slot)
-  // cursor that advances leaf by leaf, so no entry needs a division.
-  struct LeafCursor {
-    Node* const* leaf;
-    int32_t slot;
-  };
-  const RadixPass& last = passes.back();
-  DigitOffsets(*src, last, &offsets);
-  std::vector<LeafCursor> cursors(offsets.size());
-  for (size_t d = 0; d < offsets.size(); ++d) {
-    cursors[d] = {level.data() + offsets[d] / per_leaf,
-                  static_cast<int32_t>(offsets[d] % per_leaf)};
-  }
-  std::vector<size_t>().swap(offsets);
-  for (const Entry& e : *src) {
-    LeafCursor& c = cursors[last.Digit(e)];
-    Node* leaf = *c.leaf;
-    leaf->keys[static_cast<size_t>(c.slot)].store(e.first,
-                                                  std::memory_order_relaxed);
-    leaf->values[static_cast<size_t>(c.slot)].store(e.second,
-                                                    std::memory_order_relaxed);
-    if (++c.slot == fanout_) {
-      ++c.leaf;
-      c.slot = 0;
-    }
-  }
-  std::vector<LeafCursor>().swap(cursors);
-  std::vector<Entry>().swap(*src);
-
   leaf_count_.store(static_cast<int64_t>(level.size()),
                     std::memory_order_relaxed);
   entry_count_.store(static_cast<int64_t>(n), std::memory_order_relaxed);
@@ -602,7 +605,7 @@ Status BTreeIndex::BulkLoad(std::vector<std::pair<int64_t, RowId>> entries) {
     const size_t per_node = static_cast<size_t>(fanout_);
     for (size_t start = 0; start < level.size(); start += per_node + 1) {
       const size_t end = std::min(level.size(), start + per_node + 1);
-      Node* parent = new Node(/*leaf=*/false, fanout_, kInitialVersion);
+      Node* parent = Node::Make(/*leaf=*/false, fanout_, kInitialVersion);
       for (size_t i = start; i < end; ++i) {
         if (i > start) {
           // Separator: smallest key reachable in child i's subtree.
@@ -626,6 +629,100 @@ Status BTreeIndex::BulkLoad(std::vector<std::pair<int64_t, RowId>> entries) {
   }
   height_.store(height, std::memory_order_relaxed);
   root_.store(level.front(), std::memory_order_release);
+}
+
+Status BTreeIndex::BulkLoad(std::vector<std::pair<int64_t, RowId>> entries) {
+  if (root_.load(std::memory_order_acquire) != nullptr) {
+    return Status::FailedPrecondition("BulkLoad requires an empty tree");
+  }
+  if (entries.empty()) return Status::OK();
+  const size_t n = entries.size();
+
+  int64_t min_key = entries[0].first, max_key = min_key;
+  RowId min_row = entries[0].second, max_row = min_row;
+  bool rows_ascend = true;
+  for (size_t i = 1; i < n; ++i) {
+    const auto [key, row] = entries[i];
+    min_key = std::min(min_key, key);
+    max_key = std::max(max_key, key);
+    min_row = std::min(min_row, row);
+    max_row = std::max(max_row, row);
+    rows_ascend = rows_ascend && row >= entries[i - 1].second;
+  }
+  const int key_bits = SpanBits(min_key, max_key);
+  const int row_bits = SpanBits(min_row, max_row);
+  if (key_bits + row_bits > 64) {
+    // Too wide to pack into one word (keys or rows near the full INT64
+    // span): fall back to a comparison sort.
+    std::sort(entries.begin(), entries.end());
+    BuildFromSorted(n, [&](size_t i) { return entries[i].first; },
+                    [&](size_t i) { return entries[i].second; });
+    return Status::OK();
+  }
+
+  // When the rows already ascend only the key bits need sorting: a stable
+  // sort keeps equal keys in input order.
+  const PackedEntry packed{min_key, min_row, row_bits};
+  const int low_bit = rows_ascend ? row_bits : 0;
+  RadixDigits digits(low_bit, key_bits + row_bits - low_bit);
+  auto words = std::make_unique_for_overwrite<uint64_t[]>(n);
+  for (size_t i = 0; i < n; ++i) {
+    words[i] = packed.Pack(entries[i].first, entries[i].second);
+    digits.Count(words[i]);
+  }
+  std::vector<std::pair<int64_t, RowId>>().swap(entries);
+  digits.Sort(n, &words);
+  BuildFromSorted(n, [&](size_t i) { return packed.Key(words[i]); },
+                  [&](size_t i) { return packed.Row(words[i]); });
+  return Status::OK();
+}
+
+Status BTreeIndex::BulkLoadColumn(const std::vector<int64_t>& keys,
+                                  const std::vector<uint8_t>& skip) {
+  if (root_.load(std::memory_order_acquire) != nullptr) {
+    return Status::FailedPrecondition("BulkLoad requires an empty tree");
+  }
+  const auto kept = [&skip](size_t row) {
+    return row >= skip.size() || skip[row] == 0;
+  };
+  size_t n = 0;
+  int64_t min_key = 0, max_key = 0;
+  RowId min_row = 0, max_row = 0;
+  for (size_t row = 0; row < keys.size(); ++row) {
+    if (!kept(row)) continue;
+    if (n++ == 0) {
+      min_key = max_key = keys[row];
+      min_row = static_cast<RowId>(row);
+    }
+    min_key = std::min(min_key, keys[row]);
+    max_key = std::max(max_key, keys[row]);
+    max_row = static_cast<RowId>(row);
+  }
+  if (n == 0) return Status::OK();
+  const int key_bits = SpanBits(min_key, max_key);
+  const int row_bits = SpanBits(min_row, max_row);
+  if (key_bits + row_bits > 64) {
+    std::vector<std::pair<int64_t, RowId>> entries;
+    entries.reserve(n);
+    for (size_t row = 0; row < keys.size(); ++row) {
+      if (kept(row)) entries.emplace_back(keys[row], static_cast<RowId>(row));
+    }
+    return BulkLoad(std::move(entries));
+  }
+
+  // Rows ascend, so only the key bits need sorting.
+  const PackedEntry packed{min_key, min_row, row_bits};
+  RadixDigits digits(row_bits, key_bits);
+  auto words = std::make_unique_for_overwrite<uint64_t[]>(n);
+  size_t i = 0;
+  for (size_t row = 0; row < keys.size(); ++row) {
+    if (!kept(row)) continue;
+    words[i] = packed.Pack(keys[row], static_cast<RowId>(row));
+    digits.Count(words[i++]);
+  }
+  digits.Sort(n, &words);
+  BuildFromSorted(n, [&](size_t j) { return packed.Key(words[j]); },
+                  [&](size_t j) { return packed.Row(words[j]); });
   return Status::OK();
 }
 

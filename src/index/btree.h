@@ -2,6 +2,7 @@
 #define COLT_INDEX_BTREE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -72,15 +73,28 @@ class BTreeIndex {
 
   /// Bulk-loads from (key, row) pairs; requires an empty tree. Pairs need
   /// not be sorted: for any input the leaves hold them in lexicographic
-  /// (key, row) order, packed 100% full (like CREATE INDEX). Runs in time
-  /// linear in the number of pairs (a stable LSD radix sort whose last
-  /// pass writes into the leaves) and allocates at most one scratch array
-  /// of that many pairs; none when the rows already ascend and one digit
-  /// (up to 16 bits) spans the keys.
+  /// (key, row) order, packed 100% full (like CREATE INDEX). When the
+  /// offsets key − min key and row − min row fit 64 bits together, each
+  /// pair is packed into one 8-byte word and the words are sorted by a
+  /// stable LSD radix sort in time linear in their number, then written
+  /// into the leaves in order; wider inputs fall back to a comparison
+  /// sort in place.
+  /// Scratch memory on the radix path: one word array while the input is
+  /// still held (the input is released once packed), and a second one
+  /// only when a radix pass runs, released before any node is allocated.
+  /// No pass runs when the rows already ascend and the keys are all equal.
   /// Builds a private structure and publishes the root last; the caller
   /// must not run concurrent operations on the same tree while loading.
   COLT_THREAD_NEUTRAL Status BulkLoad(
       std::vector<std::pair<int64_t, RowId>> entries);
+
+  /// Bulk-loads one column: the entry (keys[r], r) for every row r with
+  /// r >= skip.size() or skip[r] == 0 (Database::PrepareIndex passes the
+  /// table's tombstones). The tree is the one BulkLoad builds from those
+  /// pairs, but the words are packed straight from the column, with no
+  /// pairs vector. Same requirements as BulkLoad.
+  COLT_THREAD_NEUTRAL Status BulkLoadColumn(const std::vector<int64_t>& keys,
+                                            const std::vector<uint8_t>& skip);
 
   /// Appends all row ids with key in [lo, hi] (inclusive) to `out`.
   /// Returns the number of leaf nodes touched (for I/O accounting).
@@ -131,6 +145,11 @@ class BTreeIndex {
   std::atomic<int64_t> write_restarts_{0};
 
   void FreeTree(Node* node);
+
+  /// Packs the `n` sorted entries (key_at(i), row_at(i)) full into leaves,
+  /// builds the internal levels over them and publishes the root.
+  template <typename KeyAt, typename RowAt>
+  void BuildFromSorted(size_t n, KeyAt key_at, RowAt row_at);
 
   /// One optimistic insert descent; false means "retry from the root".
   /// `*contended` is set when the retry was forced by a concurrent writer

@@ -100,17 +100,11 @@ Result<std::unique_ptr<BTreeIndex>> Database::PrepareIndex(IndexId id) const {
         "table not materialized; cannot build " + desc.name);
   }
   const TableData& data = table_data_.at(desc.column.table);
-  const auto& values = data.column(desc.column.column);
-  std::vector<std::pair<int64_t, RowId>> entries;
-  entries.reserve(values.size());
-  for (size_t row = 0; row < values.size(); ++row) {
-    // Tombstoned rows never enter a fresh index, keeping late builds
-    // consistent with indexes maintained through the write path.
-    if (!data.live(static_cast<int64_t>(row))) continue;
-    entries.emplace_back(values[row], static_cast<RowId>(row));
-  }
   auto tree = std::make_unique<BTreeIndex>();
-  COLT_RETURN_IF_ERROR(tree->BulkLoad(std::move(entries)));
+  // Tombstoned rows never enter a fresh index, keeping late builds
+  // consistent with indexes maintained through the write path.
+  COLT_RETURN_IF_ERROR(tree->BulkLoadColumn(data.column(desc.column.column),
+                                            data.tombstones()));
   return tree;
 }
 

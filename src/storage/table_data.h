@@ -73,6 +73,10 @@ class TableData {
            deleted_[static_cast<size_t>(row)] == 0;
   }
 
+  /// The tombstones behind live(): row r is deleted iff r < size() and
+  /// the flag is set. Empty until the first delete.
+  const std::vector<uint8_t>& tombstones() const { return deleted_; }
+
   bool empty() const { return row_count_ == 0; }
 
  private:

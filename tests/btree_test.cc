@@ -141,12 +141,19 @@ TEST(BTree, BulkLoadRequiresEmpty) {
   BTreeIndex tree;
   tree.Insert(1, 1);
   EXPECT_EQ(tree.BulkLoad({{2, 2}}).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(tree.BulkLoadColumn({2}, {}).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(BTree, BulkLoadEmptyInput) {
   BTreeIndex tree;
   EXPECT_TRUE(tree.BulkLoad({}).ok());
   EXPECT_TRUE(tree.empty());
+  BTreeIndex column_tree;
+  EXPECT_TRUE(column_tree.BulkLoadColumn({}, {}).ok());
+  EXPECT_TRUE(column_tree.BulkLoadColumn({5, 6}, {1, 1}).ok());
+  EXPECT_TRUE(column_tree.empty());
+  EXPECT_TRUE(column_tree.CheckInvariants().ok());
 }
 
 TEST(BTree, MoveSemantics) {
@@ -322,16 +329,14 @@ class SortAndPackOracle {
   std::vector<int64_t> last_keys_;
 };
 
-/// Bulk-loads `entries` and checks the tree against SortAndPackOracle:
+/// Checks `tree`, bulk-loaded from `entries`, against SortAndPackOracle:
 /// the exact (key, row) sequence, leaf_count(), height(), and the rows
 /// and leaves touched of scans at the data's edges and at random.
-void ExpectBulkLoadMatchesSortAndPack(const std::vector<Entry>& entries,
-                                      int32_t fanout, Rng* rng) {
+void ExpectMatchesSortAndPack(const BTreeIndex& tree,
+                              const std::vector<Entry>& entries, Rng* rng) {
   SCOPED_TRACE(::testing::Message() << "n=" << entries.size()
-                                    << " fanout=" << fanout);
-  const SortAndPackOracle oracle(entries, fanout);
-  BTreeIndex tree(fanout);
-  ASSERT_TRUE(tree.BulkLoad(entries).ok());
+                                    << " fanout=" << tree.fanout());
+  const SortAndPackOracle oracle(entries, tree.fanout());
   ASSERT_TRUE(tree.CheckInvariants().ok());
   EXPECT_EQ(tree.entry_count(), static_cast<int64_t>(entries.size()));
   EXPECT_EQ(tree.leaf_count(), oracle.leaf_count());
@@ -377,6 +382,14 @@ void ExpectBulkLoadMatchesSortAndPack(const std::vector<Entry>& entries,
     EXPECT_EQ(got, oracle.Rows(lo, hi)) << "range [" << lo << ", " << hi
                                         << "]";
   }
+}
+
+/// Bulk-loads `entries` and checks the tree with ExpectMatchesSortAndPack.
+void ExpectBulkLoadMatchesSortAndPack(const std::vector<Entry>& entries,
+                                      int32_t fanout, Rng* rng) {
+  BTreeIndex tree(fanout);
+  ASSERT_TRUE(tree.BulkLoad(entries).ok());
+  ExpectMatchesSortAndPack(tree, entries, rng);
 }
 
 /// Seeded Fisher-Yates shuffle.
@@ -480,11 +493,13 @@ TEST(BTreeBulkLoad, KeyAndRowShapesMatchSortAndPack) {
 }
 
 TEST(BTreeBulkLoad, LargeBuildsMatchSortAndPack) {
-  // Build-sized inputs: the narrow spans of lineitem's indexed columns in
-  // row order, a span that needs two key passes, and shuffled rows.
+  // Build-sized inputs: the spans of lineitem's indexed columns in row
+  // order (l_orderkey spans 75,000), a span that needs three key digits,
+  // and shuffled rows.
   Rng rng(31337);
   const size_t n = 200'000;
-  for (uint64_t span : {uint64_t{500}, uint64_t{25'000}, uint64_t{1} << 24}) {
+  for (uint64_t span : {uint64_t{500}, uint64_t{25'000}, uint64_t{75'000},
+                        uint64_t{1} << 24}) {
     for (bool shuffled : {false, true}) {
       std::vector<Entry> entries;
       entries.reserve(n);
@@ -493,6 +508,179 @@ TEST(BTreeBulkLoad, LargeBuildsMatchSortAndPack) {
       }
       if (shuffled) Shuffle(&entries, &rng);
       ExpectBulkLoadMatchesSortAndPack(entries, 128, &rng);
+    }
+  }
+}
+
+/// All-ones mask of `bits` bits (0 to 64).
+uint64_t LowBits(int bits) {
+  return bits == 0 ? 0 : ~uint64_t{0} >> (64 - bits);
+}
+
+/// n >= 2 entries whose key offsets (key − min key) span exactly
+/// `key_bits` bits and whose row offsets span exactly `row_bits`: both
+/// ends of each range occur and the rest is uniform over it. Keys start at
+/// `key_lo` and rows at `row_lo`, which must leave room for the span.
+/// Rows ascend (ties allowed) when `rows_ascend`; otherwise the entries
+/// are shuffled.
+std::vector<Entry> EntriesSpanning(int key_bits, int row_bits, size_t n,
+                                   int64_t key_lo, RowId row_lo,
+                                   bool rows_ascend, Rng* rng) {
+  const uint64_t key_top = LowBits(key_bits);
+  const uint64_t row_top = LowBits(row_bits);
+  std::vector<uint64_t> key_offsets = {0, key_top};
+  std::vector<uint64_t> row_offsets = {0, row_top};
+  for (size_t i = 2; i < n; ++i) {
+    key_offsets.push_back(rng->Next() & key_top);
+    row_offsets.push_back(rng->Next() & row_top);
+  }
+  std::sort(row_offsets.begin(), row_offsets.end());
+  std::vector<Entry> entries;
+  for (size_t i = 0; i < n; ++i) {
+    entries.emplace_back(
+        static_cast<int64_t>(static_cast<uint64_t>(key_lo) + key_offsets[i]),
+        static_cast<RowId>(static_cast<uint64_t>(row_lo) + row_offsets[i]));
+  }
+  if (!rows_ascend) Shuffle(&entries, rng);
+  return entries;
+}
+
+TEST(BTreeBulkLoad, PackedWidthsAroundTheCutMatchSortAndPack) {
+  // BulkLoad radix-sorts (key, row) pairs packed into one 64-bit word and
+  // falls back to a comparison sort when the key and row offsets need
+  // more than 64 bits together. Widths 63 and 64 take the radix path and
+  // 65 the fallback, split between keys and rows in several ways,
+  // including all the bits on one side.
+  struct Split {
+    int key_bits;
+    int row_bits;
+  };
+  const Split splits[] = {
+      {51, 12}, {52, 12}, {53, 12},  // row-ordered builds, wide keys
+      {31, 32}, {32, 32}, {33, 32},  // shuffled rows, balanced
+      {0, 63},  {0, 64},  {1, 64},   // all-equal keys, rows at the edge
+      {63, 0},  {64, 0},  {64, 1},   // one row id, keys at the edge
+  };
+  Rng rng(4242);
+  int32_t fanout = 4;
+  for (const Split& split : splits) {
+    for (bool rows_ascend : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "key bits " << split.key_bits << ", row bits "
+                   << split.row_bits << (rows_ascend ? ", rows ascend" : ""));
+      const int64_t key_lo =
+          split.key_bits == 64 ? INT64_MIN : -(int64_t{1} << 20);
+      const RowId row_lo = split.row_bits == 64 ? INT64_MIN : 0;
+      const std::vector<Entry> entries =
+          EntriesSpanning(split.key_bits, split.row_bits, 2000, key_lo,
+                          row_lo, rows_ascend, &rng);
+      ExpectBulkLoadMatchesSortAndPack(entries, fanout, &rng);
+      fanout = fanout == 256 ? 4 : fanout * 2;
+    }
+  }
+}
+
+TEST(BTreeBulkLoad, DigitCountBoundariesMatchSortAndPack) {
+  // Digits are at most 11 bits wide, so sorting 11 bits takes one pass
+  // and 12 take two, 22 two and 23 three, and so on. Rows in row order
+  // sort by the key bits alone; shuffled rows add their 12 bits.
+  Rng rng(1123);
+  for (int key_bits : {1, 10, 11, 12, 22, 23, 33, 34, 44, 45, 51, 52}) {
+    for (bool rows_ascend : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "key bits " << key_bits
+                                        << (rows_ascend ? ", rows ascend"
+                                                        : ""));
+      const std::vector<Entry> entries = EntriesSpanning(
+          key_bits, 12, 3000, -7, 100, rows_ascend, &rng);
+      ExpectBulkLoadMatchesSortAndPack(entries, 16, &rng);
+    }
+  }
+}
+
+TEST(BTreeBulkLoad, DegenerateInputsMatchSortAndPack) {
+  Rng rng(77);
+  // One entry, at the INT64 extremes too.
+  for (const Entry& e : {Entry{5, 9}, Entry{INT64_MIN, INT64_MAX},
+                         Entry{INT64_MAX, INT64_MIN}}) {
+    ExpectBulkLoadMatchesSortAndPack({e}, 4, &rng);
+  }
+  // All keys equal: with rows in order nothing needs sorting, and with
+  // shuffled rows only the row digits do.
+  for (bool rows_ascend : {true, false}) {
+    ExpectBulkLoadMatchesSortAndPack(
+        EntriesSpanning(0, 14, 5000, 42, 0, rows_ascend, &rng), 8, &rng);
+  }
+  // Keys that differ only in their lowest and highest digit: the middle
+  // digit is the same for every entry, so its pass moves nothing.
+  std::vector<Entry> entries;
+  for (RowId row = 0; row < 4000; ++row) {
+    const int64_t high = rng.NextBool(0.5) ? int64_t{1} << 30 : 0;
+    entries.emplace_back(high + static_cast<int64_t>(rng.NextBelow(2048)),
+                         row);
+  }
+  ExpectBulkLoadMatchesSortAndPack(entries, 32, &rng);
+  // Every entry the same pair.
+  ExpectBulkLoadMatchesSortAndPack(std::vector<Entry>(700, Entry{-3, 11}), 4,
+                                   &rng);
+}
+
+TEST(BTreeBulkLoad, ColumnLoadMatchesSortAndPack) {
+  // Database::PrepareIndex's path: one column in row order, tombstoned
+  // rows skipped. The tree must be the one BulkLoad builds from the kept
+  // (key, row) pairs, including keys too wide to pack with the rows.
+  struct KeyShape {
+    int64_t lo;
+    uint64_t span;  // 0: the full 64-bit range
+  };
+  const KeyShape key_shapes[] = {{42, 1},         {0, 500},
+                                 {0, 75'000},     {-7, uint64_t{1} << 40},
+                                 {INT64_MIN, 0},  {INT64_MAX - 3, 4}};
+  enum class Skip { kNone, kShort, kRandom, kEnds, kAll };
+  Rng rng(909);
+  int32_t fanout = 4;
+  for (const KeyShape& shape : key_shapes) {
+    for (Skip pattern :
+         {Skip::kNone, Skip::kShort, Skip::kRandom, Skip::kEnds, Skip::kAll}) {
+      SCOPED_TRACE(::testing::Message() << "key span " << shape.span
+                                        << ", skip pattern "
+                                        << static_cast<int>(pattern));
+      const size_t rows = 2000 + rng.NextBelow(2000);
+      std::vector<int64_t> keys;
+      for (size_t row = 0; row < rows; ++row) {
+        keys.push_back(KeyInSpan(&rng, shape.lo, shape.span));
+      }
+      std::vector<uint8_t> skip;
+      switch (pattern) {
+        case Skip::kNone:
+          break;
+        case Skip::kShort:  // flags for the first half only
+          for (size_t row = 0; row < rows / 2; ++row) {
+            skip.push_back(rng.NextBool(0.5) ? 1 : 0);
+          }
+          break;
+        case Skip::kRandom:
+          for (size_t row = 0; row < rows; ++row) {
+            skip.push_back(rng.NextBool(0.3) ? 1 : 0);
+          }
+          break;
+        case Skip::kEnds:
+          skip.assign(rows, 0);
+          skip.front() = skip.back() = 1;
+          break;
+        case Skip::kAll:
+          skip.assign(rows, 1);
+          break;
+      }
+      std::vector<Entry> kept;
+      for (size_t row = 0; row < rows; ++row) {
+        if (row >= skip.size() || skip[row] == 0) {
+          kept.emplace_back(keys[row], static_cast<RowId>(row));
+        }
+      }
+      BTreeIndex tree(fanout);
+      ASSERT_TRUE(tree.BulkLoadColumn(keys, skip).ok());
+      ExpectMatchesSortAndPack(tree, kept, &rng);
+      fanout = fanout == 256 ? 4 : fanout * 2;
     }
   }
 }
