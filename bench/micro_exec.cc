@@ -1,10 +1,16 @@
-/// Microbenchmarks for the physical execution engine (reduced-scale data).
+/// Microbenchmarks for the physical execution engine (reduced-scale data),
+/// and for the load that materializes its data with exact statistics.
 #include <memory>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "micro_json_main.h"
 
+#include "catalog/column_stats.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "exec/executor.h"
 #include "optimizer/optimizer.h"
@@ -150,6 +156,54 @@ void BM_ExecHashJoinAllMatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ExecHashJoinAllMatch);
+
+// The set-up every physical bench pays: generate one TPC-H instance at
+// scale 0.25 and compute every column's exact statistics. Each iteration
+// loads a fresh Database and frees it untimed.
+void BM_MaterializeAll(benchmark::State& state) {
+  TpchOptions options;
+  options.instances = 1;
+  options.scale = 0.25;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto db = std::make_unique<Database>(MakeTpchCatalog(options), 7);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(db->MaterializeAll(/*refresh_stats=*/true).ok());
+    state.PauseTiming();
+    db.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_MaterializeAll)->Unit(benchmark::kMillisecond);
+
+// Exact statistics of one column of range(0) rows over range(1) values: a
+// key (a shuffled permutation), a low-NDV column, and a 2^40-wide span,
+// whose NDV is counted in a sorted copy rather than a bitmap.
+void BM_ColumnStatsFromValues(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  const int64_t ndv = state.range(1);
+  Rng rng(11);
+  std::vector<int64_t> values(static_cast<size_t>(rows));
+  if (ndv == rows) {
+    std::iota(values.begin(), values.end(), 0);
+    for (size_t i = values.size() - 1; i > 0; --i) {
+      std::swap(values[i], values[rng.NextBelow(i + 1)]);
+    }
+  } else {
+    for (int64_t& v : values) {
+      v = static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(ndv)));
+    }
+  }
+  for (auto _ : state) {
+    const ColumnStats stats = ColumnStats::FromValues(values);
+    benchmark::DoNotOptimize(stats.ndv());
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_ColumnStatsFromValues)
+    ->Args({300'000, 300'000})
+    ->Args({300'000, 2'500})
+    ->Args({300'000, int64_t{1} << 40});
 
 }  // namespace
 }  // namespace colt

@@ -50,6 +50,8 @@ class ColumnStats {
   bool empty() const { return row_count_ == 0; }
   HistogramType histogram_type() const { return type_; }
   int bucket_count() const { return static_cast<int>(bucket_counts_.size()); }
+  /// Rows per histogram bucket, in bucket order.
+  const std::vector<int64_t>& bucket_counts() const { return bucket_counts_; }
 
   /// Content hash over every field the optimizer reads (counts, bounds,
   /// histogram shape and contents). Checkpoint recovery compares the

@@ -1,6 +1,9 @@
 #include "catalog/column_stats.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,6 +111,121 @@ TEST(ColumnStats, UniformMatchesFromValuesShape) {
 TEST(ColumnStats, NdvCappedByRowCount) {
   const ColumnStats stats = ColumnStats::Uniform(1'000'000, 10);
   EXPECT_EQ(stats.ndv(), 10);
+}
+
+// ---- Exact statistics against a hash-set reference ----
+
+/// Reference NDV: the size of a hash set holding every value.
+int64_t ReferenceNdv(const std::vector<int64_t>& values) {
+  return static_cast<int64_t>(
+      std::unordered_set<int64_t>(values.begin(), values.end()).size());
+}
+
+/// Checks both histogram types' row count, NDV, bounds and bucket-count
+/// sum against the reference.
+void ExpectMatchesReference(const std::vector<int64_t>& values) {
+  const int64_t n = static_cast<int64_t>(values.size());
+  for (const HistogramType type :
+       {HistogramType::kEquiWidth, HistogramType::kEquiDepth}) {
+    SCOPED_TRACE(type == HistogramType::kEquiWidth ? "equi-width"
+                                                   : "equi-depth");
+    const ColumnStats stats = ColumnStats::FromValues(values, 32, type);
+    EXPECT_EQ(stats.row_count(), n);
+    EXPECT_EQ(stats.ndv(), ReferenceNdv(values));
+    if (n > 0) {
+      EXPECT_EQ(stats.min_value(),
+                *std::min_element(values.begin(), values.end()));
+      EXPECT_EQ(stats.max_value(),
+                *std::max_element(values.begin(), values.end()));
+    }
+    const std::vector<int64_t>& counts = stats.bucket_counts();
+    EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), int64_t{0}), n);
+  }
+}
+
+/// `n` values in [lo, lo + span], both ends included, with repeats.
+std::vector<int64_t> SpanColumn(int64_t lo, uint64_t span, int n,
+                                uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int64_t> values = {lo, static_cast<int64_t>(
+                                         static_cast<uint64_t>(lo) + span)};
+  while (static_cast<int>(values.size()) < n) {
+    const uint64_t offset =
+        span == UINT64_MAX ? rng.Next() : rng.NextBelow(span + 1);
+    values.push_back(static_cast<int64_t>(static_cast<uint64_t>(lo) + offset));
+    if (values.size() % 4 == 0) values.push_back(values.back());
+  }
+  values.resize(n);
+  std::swap(values[0], values[n / 2]);
+  return values;
+}
+
+TEST(ExactStats, SpansAroundTheBitmapCutMatchReference) {
+  // FromValues counts distinct values in a bitmap while span / 64 < rows
+  // and in a sorted copy from there on.
+  const int n = 1'000;
+  for (const uint64_t span : {uint64_t{64} * (n - 1), uint64_t{64} * n - 1,
+                              uint64_t{64} * n, uint64_t{64} * (n + 1)}) {
+    SCOPED_TRACE(span);
+    ExpectMatchesReference(SpanColumn(0, span, n, span));
+    ExpectMatchesReference(SpanColumn(-12'345, span, n, span + 1));
+  }
+}
+
+TEST(ExactStats, SignedAndDegenerateColumnsMatchReference) {
+  ExpectMatchesReference(SpanColumn(-5'000, 4'000, 3'000, 1));  // negative
+  ExpectMatchesReference(SpanColumn(-3'000, 6'000, 3'000, 2));  // mixed
+  ExpectMatchesReference({42});
+  ExpectMatchesReference({-7});
+  ExpectMatchesReference(std::vector<int64_t>(500, 9));
+  ExpectMatchesReference(std::vector<int64_t>(500, INT64_MIN));
+  ExpectMatchesReference({});
+}
+
+TEST(ExactStats, WideRandomColumnMatchesReference) {
+  ExpectMatchesReference(SpanColumn(0, uint64_t{1} << 40, 20'000, 3));
+  ExpectMatchesReference(SpanColumn(-(int64_t{1} << 39), uint64_t{1} << 40,
+                                    20'000, 4));
+}
+
+TEST(ExactStats, Int64ExtremesMatchReference) {
+  ExpectMatchesReference({INT64_MIN, 0, INT64_MAX});
+  ExpectMatchesReference({INT64_MAX, INT64_MIN});
+  ExpectMatchesReference({INT64_MIN, INT64_MIN + 1, INT64_MIN});
+  ExpectMatchesReference({INT64_MAX - 1, INT64_MAX, INT64_MAX});
+  ExpectMatchesReference(SpanColumn(INT64_MIN, UINT64_MAX, 2'000, 5));
+}
+
+TEST(ExactStats, SelectivityStaysInUnitIntervalAtInt64Bounds) {
+  const std::vector<int64_t> bounds = {INT64_MIN, INT64_MIN + 1, -1, 0, 1,
+                                       INT64_MAX - 1, INT64_MAX};
+  for (const HistogramType type :
+       {HistogramType::kEquiWidth, HistogramType::kEquiDepth}) {
+    for (const std::vector<int64_t>& values :
+         {std::vector<int64_t>{INT64_MIN, 0, INT64_MAX},
+          std::vector<int64_t>{INT64_MIN, INT64_MAX},
+          SpanColumn(INT64_MIN, UINT64_MAX, 2'000, 6)}) {
+      const ColumnStats stats = ColumnStats::FromValues(values, 32, type);
+      for (const int64_t lo : bounds) {
+        for (const int64_t hi : bounds) {
+          const double sel = stats.RangeSelectivity(lo, hi);
+          EXPECT_GE(sel, 0.0) << "[" << lo << ", " << hi << "]";
+          EXPECT_LE(sel, 1.0) << "[" << lo << ", " << hi << "]";
+        }
+      }
+      EXPECT_DOUBLE_EQ(stats.RangeSelectivity(INT64_MIN, INT64_MAX), 1.0);
+    }
+  }
+}
+
+TEST(EquiDepth, RangeSelectivityAcrossTheWholeInt64Span) {
+  // Buckets [MIN, MIN] and (MIN, MAX], one row each: [MIN, 0] takes the
+  // first and half of the second.
+  const ColumnStats stats = ColumnStats::FromValues(
+      {INT64_MIN, INT64_MAX}, 32, HistogramType::kEquiDepth);
+  EXPECT_DOUBLE_EQ(stats.RangeSelectivity(INT64_MIN, 0), 0.75);
+  EXPECT_DOUBLE_EQ(stats.RangeSelectivity(INT64_MIN, INT64_MIN), 0.5);
+  EXPECT_DOUBLE_EQ(stats.RangeSelectivity(INT64_MIN, INT64_MAX), 1.0);
 }
 
 

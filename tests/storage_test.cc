@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/persist/serializer.h"
 #include "storage/tpch_schema.h"
 #include "test_util.h"
 
@@ -110,6 +111,24 @@ TEST(Database, RefreshStatsFromData) {
   EXPECT_EQ(stats.row_count(), 100'000);
   EXPECT_GT(stats.ndv(), 9'000);
   EXPECT_LE(stats.ndv(), 10'000);
+}
+
+// Checkpoint recovery compares catalog fingerprints, so the statistics a
+// refresh computes must keep every byte however they are computed.
+TEST(Database, RefreshedStatsFingerprintIsPinned) {
+  TpchOptions options;
+  options.instances = 4;
+  options.scale = 0.05;
+  Database db(MakeTpchCatalog(options), 42);
+  ASSERT_TRUE(db.MaterializeAll(/*refresh_stats=*/true).ok());
+  BinaryWriter w;
+  for (TableId t = 0; t < db.catalog().table_count(); ++t) {
+    const TableSchema& schema = db.catalog().table(t);
+    for (ColumnId c = 0; c < schema.column_count(); ++c) {
+      w.WriteU64(schema.column_stats(c).Fingerprint());
+    }
+  }
+  EXPECT_EQ(Fnv1a64(w.buffer()), 0xE41079F355441B01ULL);
 }
 
 TEST(Database, BuildIndexRequiresData) {
