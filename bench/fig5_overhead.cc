@@ -6,17 +6,17 @@
 /// profiled (paper: ~11%).
 ///
 /// This binary doubles as the observability-layer overhead check: it runs
-/// the same workload twice in one process — metrics/tracing disabled, then
+/// the same workload twice in one process — metrics disabled, then
 /// enabled — and reports
 ///  * the wall-clock overhead of the instrumentation
 ///    (`instrumentation_overhead_pct=`), and
 ///  * the per-component tuning-overhead breakdown from the metrics
 ///    histograms (`breakdown_*`), whose components should sum to within
 ///    10% of the measured OnQuery total.
-/// With --smoke, a shortened workload keeps the run CI-sized. The enabled
-/// run's metrics snapshot and trace are exported as JSONL/Chrome-trace
-/// into COLT_CSV_DIR (when set) and re-parsed in-process to validate the
-/// round trip.
+/// With --smoke, a shortened workload keeps the run CI-sized. The traced
+/// run's metrics snapshot and spans (one per ScopedTimer reading) are
+/// exported as JSONL/Chrome-trace into COLT_CSV_DIR (when set); the
+/// snapshot is re-parsed in-process to validate its round trip.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -83,29 +83,26 @@ int main(int argc, char** argv) {
   config.storage_budget_bytes = budget;
 
   colt::MetricsRegistry& registry = colt::MetricsRegistry::Default();
-  colt::Tracer& tracer = colt::Tracer::Default();
+  colt::SpanRing ring;
 
   // ---- Pass 0: warmup (not measured; fills caches, faults no one).
   colt::ColtIgnoreStatus(colt::RunColtWorkload(&catalog, workload, config));
 
   // The overhead gate compares the metrics layer enabled vs disabled in
-  // one process (runtime-disabled is strictly slower than compiled-out,
-  // so a pass here bounds the compiled-out overhead too). Disabled and
-  // enabled passes are interleaved so both see the same frequency/noise
-  // environment, and the minimum per-pass time is the robust estimator
-  // of the true cost. Span tracing is the opt-in debugging layer and is
-  // measured separately by its own pass below.
+  // one process. Disabled and enabled passes are interleaved so both see
+  // the same frequency/noise environment, and the minimum per-pass time
+  // is the robust estimator of the true cost. The span ring is the opt-in
+  // debugging layer and is attached only for the traced pass below.
   const int repeats = smoke ? 15 : 5;
   auto timed_run = [&](const colt::ColtConfig& cfg) {
     colt::WallTimer timer;
     colt::ColtIgnoreStatus(colt::RunColtWorkload(&catalog, workload, cfg));
     return timer.Seconds();
   };
-  // The provenance leg measures the flight recorder alone: metrics and
-  // tracing stay disabled, only the event ring records (DESIGN.md §13).
+  // The provenance leg measures the flight recorder alone: metrics stay
+  // disabled, only the event ring records (DESIGN.md §13).
   colt::ColtConfig prov_config = config;
   prov_config.provenance_events = 1 << 16;
-  tracer.set_enabled(false);
   registry.Reset();
   double disabled_seconds = 0.0;
   double enabled_seconds = 0.0;
@@ -137,24 +134,23 @@ int main(int argc, char** argv) {
   };
   for (int retry = 0;
        retry < 2 && (pct_over_disabled(enabled_seconds) > 5.0 ||
-                     (colt::kProvenanceCompiledIn &&
-                      pct_over_disabled(provenance_seconds) > 5.0));
+                     pct_over_disabled(provenance_seconds) > 5.0);
        ++retry) {
     measure_round(/*first=*/false);
   }
 
-  // ---- Pass 3: metrics + tracing enabled — the run the figure, the
-  // breakdown, and the exports are taken from.
+  // ---- Pass 3: metrics enabled with the span ring attached — the run
+  // the figure, the breakdown, and the exports are taken from.
   registry.Reset();
   registry.set_enabled(true);
-  tracer.Clear();
-  tracer.set_enabled(true);
+  ring.Clear();
+  registry.set_span_ring(&ring);
   colt::WallTimer traced_timer;
   const colt::ColtRunResult run =
       colt::RunColtWorkload(&catalog, workload, config);
   const double traced_seconds = traced_timer.Seconds();
   registry.set_enabled(false);
-  tracer.set_enabled(false);
+  registry.set_span_ring(nullptr);
 
   const colt::MetricsSnapshot snapshot = registry.Snapshot();
 
@@ -169,18 +165,14 @@ int main(int argc, char** argv) {
                               }));
   if (!csv_dir.empty()) {
     WriteTextFile(csv_dir + "/fig5_metrics.jsonl", snapshot.ToJsonl());
-    WriteTextFile(csv_dir + "/fig5_trace.jsonl", tracer.ToJsonl());
-    WriteTextFile(csv_dir + "/fig5_trace_chrome.json",
-                  tracer.ToChromeTrace());
+    WriteTextFile(csv_dir + "/fig5_trace.jsonl", ring.ToJsonl());
+    WriteTextFile(csv_dir + "/fig5_trace_chrome.json", ring.ToChromeTrace());
   }
 
   // ---- Round-trip validation: the exported JSONL must parse back losslessly.
   const auto reparsed = colt::MetricsSnapshot::FromJsonl(snapshot.ToJsonl());
   const bool metrics_roundtrip_ok =
       reparsed.ok() && reparsed.value() == snapshot;
-  const auto respanned = colt::Tracer::FromJsonl(tracer.ToJsonl());
-  const bool trace_roundtrip_ok =
-      respanned.ok() && respanned.value().size() == tracer.Spans().size();
 
   // ---- Figure 5 proper.
   std::printf("Figure 5 (self-regulated overhead): what-if calls per epoch "
@@ -253,28 +245,21 @@ int main(int argc, char** argv) {
       disabled_seconds > 0.0
           ? 100.0 * (enabled_seconds - disabled_seconds) / disabled_seconds
           : 0.0;
-  std::printf("\nInstrumentation overhead (metrics %s at compile time, "
-              "min of %d passes):\n",
-              colt::kMetricsCompiledIn ? "compiled in" : "compiled OUT",
-              repeats);
+  std::printf("\nInstrumentation overhead (min of %d passes):\n", repeats);
   std::printf("  disabled: %.4f s, metrics enabled: %.4f s, "
-              "metrics+tracing: %.4f s\n",
+              "metrics+spans: %.4f s\n",
               disabled_seconds, enabled_seconds, traced_seconds);
   std::printf("instrumentation_overhead_pct=%.2f\n", overhead_pct);
   const double provenance_overhead_pct =
       disabled_seconds > 0.0
           ? 100.0 * (provenance_seconds - disabled_seconds) / disabled_seconds
           : 0.0;
-  std::printf("  provenance recorder (%s): %.4f s\n",
-              colt::kProvenanceCompiledIn ? "compiled in" : "compiled OUT",
-              provenance_seconds);
+  std::printf("  provenance recorder: %.4f s\n", provenance_seconds);
   std::printf("provenance_overhead_pct=%.2f\n", provenance_overhead_pct);
   std::printf("metrics_jsonl_roundtrip=%s\n",
               metrics_roundtrip_ok ? "ok" : "FAILED");
-  std::printf("trace_jsonl_roundtrip=%s\n",
-              trace_roundtrip_ok ? "ok" : "FAILED");
-  std::printf("trace_spans=%zu dropped=%lld\n", tracer.Spans().size(),
-              static_cast<long long>(tracer.dropped()));
+  std::printf("trace_spans=%zu dropped=%lld\n", ring.Spans().size(),
+              static_cast<long long>(ring.dropped()));
 
   // ---- Machine-readable results: one JSONL record per headline metric,
   // written as BENCH_fig5.json into COLT_CSV_DIR (or the working
@@ -299,7 +284,7 @@ int main(int argc, char** argv) {
     std::printf("bench_json=BENCH_fig5.json records=%zu\n", records.size());
   }
 
-  if (!metrics_roundtrip_ok || !trace_roundtrip_ok) return 1;
+  if (!metrics_roundtrip_ok) return 1;
   // The breakdown must explain the OnQuery total: components within 10%.
   if (on_query_s > 0.0 && (coverage < 0.9 || coverage > 1.1)) {
     std::printf("FAILED: breakdown components do not sum to within 10%% of "
@@ -310,7 +295,7 @@ int main(int argc, char** argv) {
     std::printf("FAILED: instrumentation overhead above the 5%% budget\n");
     return 1;
   }
-  if (colt::kProvenanceCompiledIn && provenance_overhead_pct > 5.0) {
+  if (provenance_overhead_pct > 5.0) {
     std::printf("FAILED: provenance recorder overhead above the 5%% "
                 "budget\n");
     return 1;

@@ -6,6 +6,7 @@
 #include "micro_json_main.h"
 
 #include "common/metrics.h"
+#include "common/tracing.h"
 #include "core/colt.h"
 #include "core/knapsack.h"
 #include "harness/workloads.h"
@@ -127,9 +128,13 @@ void BM_MetricsHistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsHistogramRecord)->Arg(0)->Arg(1);
 
+// range(0) == 2 also attaches a span ring, so every scope records a span
+// too: the cost of one traced stage.
 void BM_MetricsScopedTimer(benchmark::State& state) {
   MetricsRegistry registry;
+  SpanRing ring;
   registry.set_enabled(state.range(0) != 0);
+  if (state.range(0) == 2) registry.set_span_ring(&ring);
   Histogram* hist = registry.GetHistogram("bench.timer.seconds");
   for (auto _ : state) {
     ScopedTimer timer(hist);
@@ -137,7 +142,7 @@ void BM_MetricsScopedTimer(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MetricsScopedTimer)->Arg(0)->Arg(1);
+BENCHMARK(BM_MetricsScopedTimer)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_WallTimerNow(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,13 +1,14 @@
 #include "common/json_util.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
 namespace colt {
 namespace json {
 
-void AppendString(const std::string& s, std::string* out) {
+void AppendString(std::string_view s, std::string* out) {
   out->push_back('"');
   for (char c : s) {
     switch (c) {
@@ -106,9 +107,12 @@ bool Reader::ReadString(std::string* out) {
           break;
         case 'u': {
           if (pos_ + 4 > text_.size()) return false;
-          const std::string hex(text_.substr(pos_, 4));
+          const char* hex = text_.data() + pos_;
+          unsigned code = 0;
+          const auto [end, ec] = std::from_chars(hex, hex + 4, code, 16);
+          if (ec != std::errc() || end != hex + 4) return false;
           pos_ += 4;
-          c = static_cast<char>(std::strtol(hex.c_str(), nullptr, 16));
+          c = static_cast<char>(code);
           break;
         }
         default:
@@ -136,9 +140,18 @@ bool Reader::ReadDouble(double* out) {
 }
 
 bool Reader::ReadInt(int64_t* out) {
-  double d = 0.0;
-  if (!ReadDouble(&d)) return false;
-  *out = static_cast<int64_t>(d);
+  SkipSpace();
+  const char* begin = text_.data() + pos_;
+  const char* limit = text_.data() + text_.size();
+  int64_t value = 0;
+  const auto [end, ec] = std::from_chars(begin, limit, value);
+  if (ec != std::errc()) return false;
+  // "2.5" or "1e30" would otherwise read as their leading digits.
+  if (end != limit && (*end == '.' || *end == 'e' || *end == 'E')) {
+    return false;
+  }
+  pos_ += static_cast<size_t>(end - begin);
+  *out = value;
   return true;
 }
 
@@ -156,10 +169,16 @@ bool Reader::ReadDoubleArray(std::vector<double>* out) {
 }
 
 bool Reader::ReadIntArray(std::vector<int64_t>* out) {
-  std::vector<double> tmp;
-  if (!ReadDoubleArray(&tmp)) return false;
-  out->assign(tmp.begin(), tmp.end());
-  return true;
+  if (!Consume('[')) return false;
+  out->clear();
+  if (Consume(']')) return true;
+  while (true) {
+    int64_t v = 0;
+    if (!ReadInt(&v)) return false;
+    out->push_back(v);
+    if (Consume(']')) return true;
+    if (!Consume(',')) return false;
+  }
 }
 
 void Reader::SkipSpace() {

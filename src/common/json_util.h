@@ -2,7 +2,7 @@
 #define COLT_COMMON_JSON_UTIL_H_
 
 /// Minimal JSON writer/reader shared by the JSONL exporters (metrics,
-/// tracing, provenance). The writer emits a deliberately small JSON
+/// spans, provenance). The writer emits a deliberately small JSON
 /// subset — flat objects with string, number, number-array and flat
 /// string-map values — so the reader can stay dependency-free. Reader
 /// and writer are inverses only over that subset: json::Reader
@@ -18,7 +18,7 @@ namespace json {
 
 /// Appends `s` as a double-quoted JSON string, escaping quotes,
 /// backslashes, newlines, tabs and other control characters.
-void AppendString(const std::string& s, std::string* out);
+void AppendString(std::string_view s, std::string* out);
 
 /// Appends a double with %.17g, which round-trips every finite double.
 void AppendDouble(double v, std::string* out);
@@ -46,6 +46,9 @@ class Reader {
   bool Consume(char c);
   bool ReadString(std::string* out);
   bool ReadDouble(double* out);
+  /// Reads an integer token exactly. Fails on a fraction, an exponent,
+  /// NaN, infinity or a value outside int64 — integers never pass
+  /// through a double.
   bool ReadInt(int64_t* out);
   bool ReadDoubleArray(std::vector<double>* out);
   bool ReadIntArray(std::vector<int64_t>* out);

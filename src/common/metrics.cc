@@ -5,11 +5,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "common/json_util.h"
 #include "common/logging.h"
+#include "common/tracing.h"
 
 #if defined(__x86_64__)
 #include <x86intrin.h>
@@ -77,8 +79,11 @@ HistogramOptions HistogramOptions::Linear(double lo, double hi, int buckets) {
   return options;
 }
 
-Histogram::Histogram(const bool* enabled, HistogramOptions options)
-    : enabled_(enabled), upper_bounds_(std::move(options.upper_bounds)) {
+Histogram::Histogram(const MetricsRegistry* registry, std::string_view name,
+                     HistogramOptions options)
+    : registry_(registry),
+      name_(name),
+      upper_bounds_(std::move(options.upper_bounds)) {
   if (upper_bounds_.empty()) {
     upper_bounds_ = HistogramOptions::Exponential().upper_bounds;
   }
@@ -94,9 +99,8 @@ void Histogram::Reset() {
   max_ = -std::numeric_limits<double>::infinity();
 }
 
-void Histogram::Record([[maybe_unused]] double value) {
-#ifndef COLT_DISABLE_METRICS
-  if (!*enabled_) return;
+void Histogram::Record(double value) {
+  if (!registry_->enabled()) return;
   ++count_;
   sum_ += value;
   min_ = std::min(min_, value);
@@ -108,7 +112,6 @@ void Histogram::Record([[maybe_unused]] double value) {
   } else {
     ++buckets_[static_cast<size_t>(it - upper_bounds_.begin())];
   }
-#endif
 }
 
 double Histogram::Percentile(double p) const {
@@ -158,19 +161,21 @@ HistogramSnapshot Histogram::Snapshot() const {
   return snap;
 }
 
-ScopedTimer::ScopedTimer([[maybe_unused]] Histogram* hist) {
-#ifndef COLT_DISABLE_METRICS
-  if (hist != nullptr && *hist->enabled_) {
+ScopedTimer::ScopedTimer(Histogram* hist) {
+  // A disabled registry is the default; its timers fall straight through.
+  if (hist != nullptr && hist->registry_->enabled()) [[unlikely]] {
     hist_ = hist;
+    ring_ = hist->registry_->span_ring();
+    if (ring_ != nullptr) span_id_ = ring_->Open();
     start_ = WallTimer::Now();
   }
-#endif
 }
 
 double ScopedTimer::Stop() {
   if (hist_ == nullptr) return 0.0;
   const double elapsed = WallTimer::Now() - start_;
   hist_->Record(elapsed);
+  if (ring_ != nullptr) ring_->Close(span_id_, hist_->name_, start_, elapsed);
   hist_ = nullptr;
   return elapsed;
 }
@@ -214,15 +219,12 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name,
                                          HistogramOptions options) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::unique_ptr<Histogram>(
-                          // colt-lint: allow-next-line(raw-new-delete): the
-                          // Histogram constructor is private (friend
-                          // MetricsRegistry); the unique_ptr one line up
-                          // adopts it in the same expression.
-                          new Histogram(&enabled_, std::move(options))))
-             .first;
+    it = histograms_.emplace(std::string(name), nullptr).first;
+    // The histogram views its own map key as its name (keys never move).
+    // colt-lint: allow-next-line(raw-new-delete): the Histogram
+    // constructor is private (friend MetricsRegistry), so make_unique
+    // cannot reach it; reset() adopts it in the same expression.
+    it->second.reset(new Histogram(this, it->first, std::move(options)));
   }
   return it->second.get();
 }
@@ -385,8 +387,9 @@ Result<MetricsSnapshot> MetricsSnapshot::FromJsonl(std::string_view text) {
     if (!reader.Consume('{')) return malformed("expected object");
     std::string type;
     std::string name;
-    int64_t int_value = 0;
-    double double_value = 0.0;
+    // A counter's value is an integer and a gauge's a double, so "value"
+    // is parsed once the line's type is known, from this saved cursor.
+    std::optional<json::Reader> value;
     HistogramSnapshot hist;
     bool first = true;
     while (!reader.Consume('}')) {
@@ -402,8 +405,9 @@ Result<MetricsSnapshot> MetricsSnapshot::FromJsonl(std::string_view text) {
       } else if (key == "name") {
         ok = reader.ReadString(&name);
       } else if (key == "value") {
-        ok = reader.ReadDouble(&double_value);
-        int_value = static_cast<int64_t>(double_value);
+        value = reader;
+        double skipped = 0.0;
+        ok = reader.ReadDouble(&skipped);
       } else if (key == "count") {
         ok = reader.ReadInt(&hist.count);
       } else if (key == "sum") {
@@ -435,9 +439,13 @@ Result<MetricsSnapshot> MetricsSnapshot::FromJsonl(std::string_view text) {
     if (!reader.AtEnd()) return malformed("trailing characters");
     if (name.empty()) return malformed("missing name");
     if (type == "counter") {
-      snap.counters[name] = int_value;
+      if (!value || !value->ReadInt(&snap.counters[name])) {
+        return malformed("bad value for counter '" + name + "'");
+      }
     } else if (type == "gauge") {
-      snap.gauges[name] = double_value;
+      if (!value || !value->ReadDouble(&snap.gauges[name])) {
+        return malformed("bad value for gauge '" + name + "'");
+      }
     } else if (type == "histogram") {
       snap.histograms[name] = std::move(hist);
     } else {

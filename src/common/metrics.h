@@ -14,22 +14,15 @@
 
 namespace colt {
 
-/// Whether the metrics layer is compiled in. Builds configured with
-/// -DCOLT_DISABLE_METRICS=ON turn every instrument update into an empty
-/// inline function so the instrumented call sites carry zero cost; the
-/// registry/snapshot API stays link-compatible either way.
-#ifdef COLT_DISABLE_METRICS
-inline constexpr bool kMetricsCompiledIn = false;
-#else
-inline constexpr bool kMetricsCompiledIn = true;
-#endif
+class MetricsRegistry;
+class SpanRing;
 
-/// Monotonic wall-clock stopwatch, the single timing primitive shared by
-/// the metrics layer, the tracer, and the benches (no more ad-hoc chrono
-/// snippets at call sites). On x86-64 it reads the invariant TSC with a
-/// one-time calibration against steady_clock — under half the cost of a
-/// clock_gettime-backed read, which matters when instrumenting
-/// microsecond-scale pipeline stages; elsewhere it is steady_clock.
+/// Monotonic wall-clock stopwatch, the clock behind ScopedTimer and the
+/// benches (no ad-hoc chrono snippets at call sites). On x86-64 it reads
+/// the invariant TSC with a one-time calibration against steady_clock —
+/// under half the cost of a clock_gettime-backed read, which matters when
+/// instrumenting microsecond-scale pipeline stages; elsewhere it is
+/// steady_clock.
 class WallTimer {
  public:
   WallTimer() : start_(Now()) {}
@@ -49,10 +42,8 @@ class WallTimer {
 class Counter {
  public:
   void Increment() { Add(1); }
-  void Add([[maybe_unused]] int64_t n) {
-#ifndef COLT_DISABLE_METRICS
+  void Add(int64_t n) {
     if (*enabled_) value_ += n;
-#endif
   }
   int64_t value() const { return value_; }
 
@@ -68,10 +59,8 @@ class Counter {
 /// Last-value gauge (e.g. budget utilization, current hot-set size).
 class Gauge {
  public:
-  void Set([[maybe_unused]] double v) {
-#ifndef COLT_DISABLE_METRICS
+  void Set(double v) {
     if (*enabled_) value_ = v;
-#endif
   }
   double value() const { return value_; }
 
@@ -133,12 +122,15 @@ class Histogram {
  private:
   friend class MetricsRegistry;
   friend class ScopedTimer;
-  Histogram(const bool* enabled, HistogramOptions options);
+  Histogram(const MetricsRegistry* registry, std::string_view name,
+            HistogramOptions options);
   void Reset();
   /// Folds `other` in bucket-wise; bucket layouts must match.
   void Merge(const Histogram& other);
 
-  const bool* enabled_;
+  const MetricsRegistry* registry_;
+  /// The registry's map key, which never moves; spans point at it.
+  std::string_view name_;
   std::vector<double> upper_bounds_;
   std::vector<int64_t> buckets_;
   int64_t overflow_ = 0;
@@ -148,9 +140,12 @@ class Histogram {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// RAII wall-clock timer recording into a histogram on scope exit. When
-/// the registry is disabled at construction the timer never reads the
-/// clock, so instrumented scopes cost one branch.
+/// RAII wall-clock timer recording into a histogram on scope exit: the one
+/// way the code times itself. When the histogram's registry has a span
+/// ring attached, the same reading also goes into the ring as a span named
+/// after the histogram, parented by the innermost open timer. When the
+/// registry is disabled at construction the timer never reads the clock,
+/// so instrumented scopes cost one branch.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram* hist);
@@ -164,6 +159,8 @@ class ScopedTimer {
 
  private:
   Histogram* hist_ = nullptr;  // null = inactive
+  SpanRing* ring_ = nullptr;   // null = no span
+  int64_t span_id_ = 0;
   double start_ = 0.0;
 };
 
@@ -223,6 +220,13 @@ class MetricsRegistry {
   bool enabled() const { return enabled_; }
   void set_enabled(bool enabled) { enabled_ = enabled; }
 
+  /// Attaches a span ring (null detaches): while the registry is enabled,
+  /// every ScopedTimer on its histograms records its reading there too.
+  /// Spans point at histogram names, so export them before destroying
+  /// the registry.
+  void set_span_ring(SpanRing* ring) { span_ring_ = ring; }
+  SpanRing* span_ring() const { return span_ring_; }
+
   /// Returns the named instrument, creating it on first use. A histogram's
   /// options are fixed by its first registration.
   Counter* GetCounter(std::string_view name);
@@ -246,6 +250,7 @@ class MetricsRegistry {
 
  private:
   bool enabled_ = false;
+  SpanRing* span_ring_ = nullptr;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;

@@ -1,6 +1,5 @@
 #include "common/provenance.h"
 
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -315,22 +314,19 @@ Result<std::vector<ProvenanceEvent>> ProvenanceFromJsonl(
             if (!reader.ReadString(&attr.key) || !reader.Consume(':')) {
               return malformed("bad attr key");
             }
-            std::string str;
-            if (reader.ReadString(&str)) {
+            // An integer token is an int attr (the writer emits int attrs
+            // without a fractional part or exponent); any other number is
+            // a double attr.
+            json::Reader int_reader = reader;
+            if (reader.ReadString(&attr.string_value)) {
               attr.kind = ProvenanceAttr::Kind::kString;
-              attr.string_value = std::move(str);
+            } else if (int_reader.ReadInt(&attr.int_value)) {
+              attr.kind = ProvenanceAttr::Kind::kInt;
+              reader = int_reader;
+            } else if (reader.ReadDouble(&attr.double_value)) {
+              attr.kind = ProvenanceAttr::Kind::kDouble;
             } else {
-              double num = 0.0;
-              if (!reader.ReadDouble(&num)) return malformed("bad attr value");
-              // Integral values normalize to int attrs (the writer emits
-              // int attrs without a fractional part).
-              if (std::nearbyint(num) == num && std::fabs(num) <= 9.0e15) {
-                attr.kind = ProvenanceAttr::Kind::kInt;
-                attr.int_value = static_cast<int64_t>(num);
-              } else {
-                attr.kind = ProvenanceAttr::Kind::kDouble;
-                attr.double_value = num;
-              }
+              return malformed("bad attr value");
             }
             event.attrs.push_back(std::move(attr));
             if (reader.Consume('}')) break;

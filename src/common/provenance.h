@@ -30,16 +30,6 @@
 
 namespace colt {
 
-/// Whether the provenance layer is compiled in. Builds configured with
-/// -DCOLT_DISABLE_PROVENANCE=ON never construct a recorder, so every
-/// emission site reduces to one null-pointer test; the recorder class
-/// itself stays link-compatible either way (same policy as metrics).
-#ifdef COLT_DISABLE_PROVENANCE
-inline constexpr bool kProvenanceCompiledIn = false;
-#else
-inline constexpr bool kProvenanceCompiledIn = true;
-#endif
-
 /// One typed key/value annotation on a provenance event.
 struct ProvenanceAttr {
   enum class Kind : uint8_t { kInt = 0, kDouble = 1, kString = 2 };
@@ -162,8 +152,9 @@ class ProvenanceRecorder {
 };
 
 /// JSONL export: one event object per line, in stream order. Integers
-/// round-trip exactly; a double attr whose value is integral re-parses as
-/// an int attr of equal value (the kinds normalize, the numbers do not
+/// round-trip exactly; a double attr that prints without a fraction or an
+/// exponent (an integral value below 1e17 in magnitude) re-parses as an
+/// int attr of equal value (the kinds normalize, the numbers do not
 /// change).
 std::string ProvenanceToJsonl(const std::vector<ProvenanceEvent>& events);
 Result<std::vector<ProvenanceEvent>> ProvenanceFromJsonl(

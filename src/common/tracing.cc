@@ -1,85 +1,44 @@
 #include "common/tracing.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <utility>
-
 #include "common/json_util.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 
 namespace colt {
 
-Tracer::Tracer(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity), epoch_(WallTimer::Now()) {}
-
-Tracer& Tracer::Default() {
-  // One tracer per thread: the tracer's stack discipline (innermost-first
-  // scope destruction) cannot hold across threads, so worker threads in
-  // the task-parallel layer get a private, default-disabled instance —
-  // their spans are inert unless a worker explicitly enables its own
-  // tracer. The main thread's instance is the one harnesses export from.
-  // By value (not the leaky-singleton idiom) so short-lived pool workers
-  // release their instance at thread exit instead of leaking one each.
-  static thread_local Tracer tracer;
-  return tracer;
+SpanRing::SpanRing(size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity), epoch_(WallTimer::Now()) {
+  ring_.reserve(capacity_);
 }
 
-Tracer::Scope Tracer::StartSpan(std::string_view name,
-                                std::string_view site) {
-  if (!enabled_) return Scope();
-  OpenSpan open;
-  open.span.id = next_id_++;
-  open.span.parent = open_.empty() ? 0 : open_.back().span.id;
-  open.span.name.assign(name);
-  open.span.site.assign(site);
-  open.span.start_seconds = WallTimer::Now() - epoch_;
-  open_.push_back(std::move(open));
-  return Scope(this, open_.size() - 1);
+int64_t SpanRing::Open() {
+  const int64_t id = next_id_++;
+  open_.push_back(id);
+  return id;
 }
 
-void Tracer::Scope::AddAttr(std::string_view key, std::string_view value) {
-  if (tracer_ == nullptr) return;
-  Span& span = tracer_->open_[depth_].span;
-  span.attrs.push_back(SpanAttr{std::string(key), std::string(value)});
-}
-
-void Tracer::Scope::AddAttr(std::string_view key, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  AddAttr(key, std::string_view(buf));
-}
-
-void Tracer::Scope::AddAttr(std::string_view key, int64_t value) {
-  AddAttr(key, std::string_view(std::to_string(value)));
-}
-
-void Tracer::Scope::End() {
-  if (tracer_ == nullptr) return;
-  Tracer* tracer = tracer_;
-  tracer_ = nullptr;
-  COLT_CHECK(depth_ + 1 == tracer->open_.size())
-      << "span scopes must close innermost-first (open depth "
-      << tracer->open_.size() << ", closing " << depth_ << ")";
-  Span span = std::move(tracer->open_.back().span);
-  tracer->open_.pop_back();
-  span.duration_seconds =
-      WallTimer::Now() - tracer->epoch_ - span.start_seconds;
-  tracer->Sink(std::move(span));
-}
-
-void Tracer::Sink(Span span) {
+void SpanRing::Close(int64_t id, std::string_view name, double start,
+                     double duration) {
+  COLT_CHECK(!open_.empty() && open_.back() == id)
+      << "timed scopes must close innermost-first (closing span " << id
+      << ", innermost open " << (open_.empty() ? 0 : open_.back()) << ")";
+  open_.pop_back();
+  Span span;
+  span.id = id;
+  span.parent = open_.empty() ? 0 : open_.back();
+  span.name = name;
+  span.start_seconds = start - epoch_;
+  span.duration_seconds = duration;
   if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(span));
+    ring_.push_back(span);
     return;
   }
-  ring_[ring_start_] = std::move(span);
+  ring_[ring_start_] = span;
   ring_start_ = (ring_start_ + 1) % ring_.size();
   ++dropped_;
 }
 
-std::vector<Span> Tracer::Spans() const {
+std::vector<Span> SpanRing::Spans() const {
   std::vector<Span> out;
   out.reserve(ring_.size());
   for (size_t i = 0; i < ring_.size(); ++i) {
@@ -88,45 +47,35 @@ std::vector<Span> Tracer::Spans() const {
   return out;
 }
 
-void Tracer::Clear() {
+void SpanRing::Clear() {
   ring_.clear();
   ring_start_ = 0;
   dropped_ = 0;
   epoch_ = WallTimer::Now();
 }
 
-std::string Tracer::ToJsonl() const {
+std::string SpanRing::ToJsonl() const {
   std::string out;
   for (const Span& span : Spans()) {
     out += "{\"id\":";
-    out += std::to_string(span.id);
+    json::AppendInt(span.id, &out);
     out += ",\"parent\":";
-    out += std::to_string(span.parent);
+    json::AppendInt(span.parent, &out);
     out += ",\"name\":";
     json::AppendString(span.name, &out);
-    out += ",\"site\":";
-    json::AppendString(span.site, &out);
     out += ",\"start\":";
     json::AppendDouble(span.start_seconds, &out);
     out += ",\"dur\":";
     json::AppendDouble(span.duration_seconds, &out);
-    out += ",\"attrs\":{";
-    for (size_t i = 0; i < span.attrs.size(); ++i) {
-      if (i > 0) out += ",";
-      json::AppendString(span.attrs[i].key, &out);
-      out += ":";
-      json::AppendString(span.attrs[i].value, &out);
-    }
-    out += "}}\n";
+    out += "}\n";
   }
   return out;
 }
 
-std::string Tracer::ToChromeTrace() const {
+std::string SpanRing::ToChromeTrace() const {
   // Complete ("X") events; timestamps in microseconds as about:tracing
-  // expects. All spans of one tracer share one process/thread id — each
-  // thread records into its own Default() instance (per-worker-buffer
-  // rule, DESIGN.md §10) — so nesting renders from the time ranges alone.
+  // expects. One ring records one thread, so all spans share one
+  // process/thread id and nesting renders from the time ranges alone.
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   for (const Span& span : Spans()) {
@@ -134,92 +83,18 @@ std::string Tracer::ToChromeTrace() const {
     first = false;
     out += "{\"name\":";
     json::AppendString(span.name, &out);
-    out += ",\"cat\":";
-    json::AppendString(span.site.empty() ? std::string("colt") : span.site, &out);
-    out += ",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":";
+    out += ",\"cat\":\"colt\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":";
     json::AppendDouble(span.start_seconds * 1e6, &out);
     out += ",\"dur\":";
     json::AppendDouble(span.duration_seconds * 1e6, &out);
     out += ",\"args\":{\"id\":";
-    out += std::to_string(span.id);
+    json::AppendInt(span.id, &out);
     out += ",\"parent\":";
-    out += std::to_string(span.parent);
-    for (const SpanAttr& attr : span.attrs) {
-      out += ",";
-      json::AppendString(attr.key, &out);
-      out += ":";
-      json::AppendString(attr.value, &out);
-    }
+    json::AppendInt(span.parent, &out);
     out += "}}";
   }
   out += "]}\n";
   return out;
-}
-
-Result<std::vector<Span>> Tracer::FromJsonl(std::string_view text) {
-  std::vector<Span> spans;
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line =
-        json::StripLineEnding(text.substr(pos, end - pos));
-    pos = end + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    const auto malformed = [&](const std::string& why) {
-      return Status::InvalidArgument("trace jsonl line " +
-                                     std::to_string(line_no) + ": " + why);
-    };
-    // Parses the exact shape ToJsonl writes (common/json_util subset).
-    Span span;
-    json::Reader reader(line);
-    if (!reader.Consume('{')) return malformed("expected object");
-    bool first = true;
-    while (!reader.Consume('}')) {
-      if (!first && !reader.Consume(',')) return malformed("expected ','");
-      first = false;
-      std::string key;
-      if (!reader.ReadString(&key) || !reader.Consume(':')) {
-        return malformed("bad key");
-      }
-      bool ok = true;
-      if (key == "id") {
-        ok = reader.ReadInt(&span.id);
-      } else if (key == "parent") {
-        ok = reader.ReadInt(&span.parent);
-      } else if (key == "name") {
-        ok = reader.ReadString(&span.name);
-      } else if (key == "site") {
-        ok = reader.ReadString(&span.site);
-      } else if (key == "start") {
-        ok = reader.ReadDouble(&span.start_seconds);
-      } else if (key == "dur") {
-        ok = reader.ReadDouble(&span.duration_seconds);
-      } else if (key == "attrs") {
-        if (!reader.Consume('{')) return malformed("bad attrs");
-        if (!reader.Consume('}')) {
-          while (true) {
-            SpanAttr attr;
-            if (!reader.ReadString(&attr.key) || !reader.Consume(':') ||
-                !reader.ReadString(&attr.value)) {
-              return malformed("bad attr");
-            }
-            span.attrs.push_back(std::move(attr));
-            if (reader.Consume('}')) break;
-            if (!reader.Consume(',')) return malformed("bad attrs");
-          }
-        }
-      } else {
-        return malformed("unknown key '" + key + "'");
-      }
-      if (!ok) return malformed("bad value for '" + key + "'");
-    }
-    if (!reader.AtEnd()) return malformed("trailing characters");
-    spans.push_back(std::move(span));
-  }
-  return spans;
 }
 
 }  // namespace colt

@@ -6,121 +6,62 @@
 #include <string_view>
 #include <vector>
 
-#include "common/status.h"
-#include "common/thread_annotations.h"
-
 namespace colt {
 
-/// One key=value span annotation. Values are stored as strings; numeric
-/// helpers format on attach.
-struct SpanAttr {
-  std::string key;
-  std::string value;
-};
-
-/// A finished span: one timed region of the tuning pipeline. Times are
-/// seconds relative to the tracer's epoch (construction / last Clear), so
-/// dumps from one run are directly comparable.
+/// One finished timed scope: a ScopedTimer's reading. `name` is the name
+/// of the histogram the timer recorded into; it views that registry's map
+/// key, so it stays valid for the registry's lifetime. Times are seconds
+/// relative to the ring's epoch (construction / last Clear), and the
+/// duration is exactly the value the histogram recorded.
 struct Span {
   int64_t id = 0;
   /// Enclosing span's id; 0 for roots.
   int64_t parent = 0;
-  std::string name;
-  /// Component site, e.g. "core/colt" — groups spans by subsystem.
-  std::string site;
+  std::string_view name;
   double start_seconds = 0.0;
   double duration_seconds = 0.0;
-  std::vector<SpanAttr> attrs;
 };
 
-/// Per-query structured span tracer with a fixed-capacity ring-buffer
-/// sink: the newest `capacity` finished spans are retained, older ones are
-/// dropped (counted, never resized). Spans nest through RAII scopes — the
-/// innermost open scope is the parent of the next StartSpan.
+/// Fixed-capacity ring of finished spans, fed by the ScopedTimers of the
+/// registry it is attached to (MetricsRegistry::set_span_ring). The newest
+/// `capacity` spans are kept and older ones are dropped (counted, never
+/// resized); the ring is preallocated, so recording allocates nothing.
+/// Open timers form a stack: the innermost one parents the next, and they
+/// must close innermost-first, which lexical scoping guarantees.
 ///
-/// Disabled by default; a disabled tracer never reads the clock and
-/// returns inert scopes, following the fault-injector pattern.
-///
-/// Thread-compatibility: a tracer is single-writer, not synchronized. The
-/// per-worker-buffer rule (DESIGN.md §10) applies: every thread records
-/// into its own Default() instance, so instrumented code may run on pool
-/// workers without locks; worker instances stay disabled (and therefore
-/// empty) unless a worker opts in explicitly.
-class Tracer {
+/// Thread-compatibility: single-writer, like the registry it is attached
+/// to. Attach it only to the owner's MetricsRegistry::Default(); serve
+/// clients time into private registries that have no ring.
+class SpanRing {
  public:
-  explicit Tracer(size_t capacity = 8192);
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  /// The calling thread's tracer (thread-local). The main thread's
-  /// instance is the one the tuning stack configures and harnesses export
-  /// from; pool workers see a private, default-disabled instance — which
-  /// is what makes this Default() (unlike MetricsRegistry::Default())
-  /// safe to touch from worker tasks.
-  COLT_WORKER_SAFE static Tracer& Default();
-
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-
-  /// RAII handle for an open span; finishes (and sinks) it on destruction.
-  /// Scopes must be destroyed in reverse order of creation (stack
-  /// discipline), which plain lexical scoping guarantees.
-  class Scope {
-   public:
-    Scope() = default;
-    Scope(Scope&& other) noexcept { *this = std::move(other); }
-    Scope& operator=(Scope&& other) noexcept {
-      End();
-      tracer_ = other.tracer_;
-      depth_ = other.depth_;
-      other.tracer_ = nullptr;
-      return *this;
-    }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() { End(); }
-
-    /// Attaches key=value to the open span (no-op on inert scopes).
-    void AddAttr(std::string_view key, std::string_view value);
-    void AddAttr(std::string_view key, double value);
-    void AddAttr(std::string_view key, int64_t value);
-
-    /// Finishes the span now; later End()s are no-ops.
-    void End();
-
-   private:
-    friend class Tracer;
-    Scope(Tracer* tracer, size_t depth) : tracer_(tracer), depth_(depth) {}
-
-    Tracer* tracer_ = nullptr;  // null = inert
-    size_t depth_ = 0;
-  };
-
-  /// Opens a span named `name` under the innermost open span. Returns an
-  /// inert scope when disabled.
-  Scope StartSpan(std::string_view name, std::string_view site = {});
+  explicit SpanRing(size_t capacity = 8192);
+  SpanRing(const SpanRing&) = delete;
+  SpanRing& operator=(const SpanRing&) = delete;
 
   /// Finished spans, oldest first (at most `capacity`).
   std::vector<Span> Spans() const;
   /// Spans evicted from the ring so far.
   int64_t dropped() const { return dropped_; }
-  size_t capacity() const { return capacity_; }
 
-  /// Forgets all finished spans and restarts the clock epoch. Open spans
-  /// survive (their times stay on the old epoch; avoid mixing).
+  /// Forgets all finished spans and restarts the clock epoch. Open timers
+  /// survive (their start times stay on the old epoch; avoid mixing).
   void Clear();
 
-  /// One JSON object per line; parseable by FromJsonl.
+  /// One JSON object per line: {"id","parent","name","start","dur"}.
   std::string ToJsonl() const;
   /// Chrome trace_event JSON ("X" complete events) for about:tracing /
   /// Perfetto.
   std::string ToChromeTrace() const;
-  static Result<std::vector<Span>> FromJsonl(std::string_view text);
 
  private:
-  void Sink(Span span);
+  friend class ScopedTimer;
+  /// Pushes a new open span under the innermost one; returns its id.
+  int64_t Open();
+  /// Pops the innermost open span, which must be `id`, and sinks it.
+  /// `start` is an absolute WallTimer::Now() reading.
+  void Close(int64_t id, std::string_view name, double start,
+             double duration);
 
-  bool enabled_ = false;
   size_t capacity_;
   /// Ring of finished spans: ring_[(start_ + i) % size] for i < size.
   std::vector<Span> ring_;
@@ -128,11 +69,8 @@ class Tracer {
   int64_t dropped_ = 0;
   int64_t next_id_ = 1;
   double epoch_;
-  /// Open-span stack (innermost last).
-  struct OpenSpan {
-    Span span;
-  };
-  std::vector<OpenSpan> open_;
+  /// Ids of the open spans, innermost last.
+  std::vector<int64_t> open_;
 };
 
 }  // namespace colt

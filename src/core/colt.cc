@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/tracing.h"
 #include "exec/executor.h"
 
 namespace colt {
@@ -31,7 +30,7 @@ ColtTuner::ColtTuner(Catalog* catalog, QueryOptimizer* optimizer,
       db_(db),
       config_(config),
       faults_(config.fault),
-      provenance_(kProvenanceCompiledIn && config.provenance_events > 0
+      provenance_(config.provenance_events > 0
                       ? std::make_unique<ProvenanceRecorder>(
                             config.provenance_events)
                       : nullptr),
@@ -160,7 +159,6 @@ TuningStep ColtTuner::OnQuery(const Query& q) {
     provenance_->SetContext(epoch_, queries_observed_ - 1);
   }
   ScopedTimer on_query_timer(metrics_.on_query_seconds);
-  Tracer::Scope span = Tracer::Default().StartSpan("on_query", "core");
   TuningStep step;
   // Substrate weather first: a mid-run budget shrink must be honoured
   // before this query's plan and invariant checks.

@@ -216,9 +216,8 @@ class ColtTuner {
   CheckpointStore* checkpoint_store() { return checkpoint_.get(); }
 
   /// The decision-provenance flight recorder (DESIGN.md §13), or null
-  /// when ColtConfig::provenance_events == 0 or the recorder was compiled
-  /// out (COLT_DISABLE_PROVENANCE). Events are drained/exported by the
-  /// harness; the recorder itself never alters tuning decisions.
+  /// when ColtConfig::provenance_events == 0. Events are drained/exported
+  /// by the harness; the recorder itself never alters tuning decisions.
   ProvenanceRecorder* provenance() { return provenance_.get(); }
   const ProvenanceRecorder* provenance() const { return provenance_.get(); }
 

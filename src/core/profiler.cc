@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/tracing.h"
-
 namespace colt {
 
 uint64_t TableConfigSignature(const Catalog& catalog,
@@ -113,7 +111,6 @@ Profiler::ProfileOutcome Profiler::ProfileQuery(
     const std::vector<IndexId>& hot_set, int whatif_limit, int* whatif_used,
     int current_epoch) {
   ScopedTimer timer(metrics_.profile_seconds);
-  Tracer::Scope span = Tracer::Default().StartSpan("profile_query", "core");
   ProfileOutcome outcome;
   // 1. Cluster assignment (efficient, on-line).
   outcome.cluster = clusters_->Assign(q);

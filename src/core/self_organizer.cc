@@ -7,8 +7,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/tracing.h"
-
 namespace colt {
 
 namespace {
@@ -153,7 +151,6 @@ SelfOrganizer::Outcome SelfOrganizer::RunEpochEnd(
     const std::vector<IndexId>& hot_set,
     const std::vector<IndexId>& quarantined) {
   ScopedTimer timer(metrics_.epoch_end_seconds);
-  Tracer::Scope span = Tracer::Default().StartSpan("epoch_end", "core");
   Outcome outcome;
   const auto is_quarantined = [&](IndexId id) {
     return std::binary_search(quarantined.begin(), quarantined.end(), id);
@@ -330,7 +327,6 @@ SelfOrganizer::Outcome SelfOrganizer::RunEpochEnd(
         static_cast<int64_t>(entering.size() + leaving.size());
     metrics_.hot_churn->Add(churn);
     metrics_.hot_set_size->Set(static_cast<double>(outcome.new_hot.size()));
-    span.AddAttr("hot_churn", churn);
     if (provenance_ != nullptr) {
       // `threshold` is the two-means split that gated this epoch's hot
       // picks (0 when no candidate scored, i.e. demote-only epochs).

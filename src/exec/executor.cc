@@ -204,7 +204,7 @@ class Executor::OperatorTimer {
   OperatorTimer(Executor* executor, Histogram* hist)
       : executor_(executor), parent_(executor->running_op_) {
     executor_->running_op_ = this;
-    if (kMetricsCompiledIn && executor_->registry_->enabled()) {
+    if (executor_->registry_->enabled()) {
       hist_ = hist;
       start_ = WallTimer::Now();
     }

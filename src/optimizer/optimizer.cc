@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/tracing.h"
 
 namespace colt {
 
@@ -400,9 +399,6 @@ std::vector<IndexGain> QueryOptimizer::WhatIfOptimize(
   metrics_.optimize_calls->Increment();
   metrics_.whatif_calls->Increment();
   ScopedTimer timer(metrics_.whatif_seconds);
-  Tracer::Scope span =
-      Tracer::Default().StartSpan("whatif", "optimizer");
-  span.AddAttr("probes", static_cast<int64_t>(probation.size()));
   // The memo is shared across the base optimization and every what-if
   // re-optimization: access paths of tables unaffected by the probed index
   // are reused rather than recomputed.

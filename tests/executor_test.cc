@@ -306,7 +306,7 @@ TEST_F(ExecutorTest, OperatorTimesAreExclusiveOfChildren) {
   EXPECT_LE(op_seconds, registry.GetHistogram("exec.execute.seconds")->sum());
   EXPECT_EQ(op_count,
             registry.GetCounter("exec.operator.invocations")->value());
-  EXPECT_EQ(op_count, kMetricsCompiledIn ? 5 * kRuns : 0);
+  EXPECT_EQ(op_count, 5 * kRuns);
 }
 
 }  // namespace

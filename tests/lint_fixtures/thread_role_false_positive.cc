@@ -21,9 +21,9 @@ void OwnerLoop() {
   InstallIndexNow(3);
 }
 
-class WorkerTracer {
+class WorkerArena {
  public:
-  COLT_WORKER_SAFE static WorkerTracer& Default();
+  COLT_WORKER_SAFE static WorkerArena& Default();
 };
 
 class OwnerRegistry {
@@ -31,10 +31,10 @@ class OwnerRegistry {
   COLT_OWNER_ONLY static OwnerRegistry& Default();
 };
 
-// The explicit qualifier binds strictly: WorkerTracer::Default is
+// The explicit qualifier binds strictly: WorkerArena::Default is
 // worker-safe even though OwnerRegistry::Default shares its name.
 COLT_WORKER_SAFE void TraceProbe() {
-  WorkerTracer::Default();
+  WorkerArena::Default();
 }
 
 // TaskRng streams are the sanctioned worker randomness.

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -35,7 +36,9 @@ struct FixtureCase {
   const char* fixture;
   const char* claimed_path;
   const char* expected_rule;
-  int min_findings;
+  // 64-bit so the struct has no padding: gtest names each case by a byte dump
+  // of the struct, and padding bytes would differ from one run to the next.
+  int64_t min_findings;
 };
 
 class LintFixtureTest : public ::testing::TestWithParam<FixtureCase> {};
@@ -44,7 +47,7 @@ TEST_P(LintFixtureTest, FailsWithExpectedRule) {
   const FixtureCase& c = GetParam();
   const auto violations = colt_lint::LintFileContent(
       c.claimed_path, ReadFixture(c.fixture));
-  ASSERT_GE(static_cast<int>(violations.size()), c.min_findings)
+  ASSERT_GE(static_cast<int64_t>(violations.size()), c.min_findings)
       << "fixture " << c.fixture;
   EXPECT_EQ(RulesHit(violations), std::set<std::string>{c.expected_rule})
       << "fixture " << c.fixture << " first: " << violations[0].ToString();

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -31,7 +33,7 @@ TEST(CounterTest, EnabledRegistryAccumulates) {
   Counter* c = registry.GetCounter("test.counter");
   c->Increment();
   c->Add(41);
-  EXPECT_EQ(c->value(), kMetricsCompiledIn ? 42 : 0);
+  EXPECT_EQ(c->value(), 42);
 }
 
 TEST(CounterTest, ToggleMidRunOnlyCountsEnabledWindow) {
@@ -42,7 +44,7 @@ TEST(CounterTest, ToggleMidRunOnlyCountsEnabledWindow) {
   c->Add(7);  // kept
   registry.set_enabled(false);
   c->Add(100);  // dropped
-  EXPECT_EQ(c->value(), kMetricsCompiledIn ? 7 : 0);
+  EXPECT_EQ(c->value(), 7);
 }
 
 TEST(GaugeTest, KeepsLastValueWhileEnabled) {
@@ -53,7 +55,7 @@ TEST(GaugeTest, KeepsLastValueWhileEnabled) {
   registry.set_enabled(true);
   g->Set(3.5);
   g->Set(0.25);
-  EXPECT_DOUBLE_EQ(g->value(), kMetricsCompiledIn ? 0.25 : 0.0);
+  EXPECT_DOUBLE_EQ(g->value(), 0.25);
 }
 
 TEST(RegistryTest, SameNameReturnsSamePointer) {
@@ -82,12 +84,8 @@ TEST(RegistryTest, ResetZeroesValuesButKeepsPointers) {
   EXPECT_EQ(registry.GetHistogram("h"), h);
   // Still enabled and usable after Reset.
   c->Increment();
-  EXPECT_EQ(c->value(), kMetricsCompiledIn ? 1 : 0);
+  EXPECT_EQ(c->value(), 1);
 }
-
-// The remaining tests exercise recorded values, so they are meaningful
-// only when the metrics layer is compiled in.
-#ifndef COLT_DISABLE_METRICS
 
 TEST(HistogramTest, CountSumMinMax) {
   MetricsRegistry registry;
@@ -227,6 +225,68 @@ TEST(SnapshotTest, JsonlRoundTripIsLossless) {
   EXPECT_EQ(reparsed.value(), snapshot);
 }
 
+// Integer fields never pass through a double: the INT64 bounds and 2^53+1
+// (the smallest integer a double cannot hold) come back exactly, and a
+// gauge far outside the int64 range stays a valid double.
+TEST(SnapshotTest, JsonlIntegersRoundTripExactly) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kPast53 = (int64_t{1} << 53) + 1;
+  MetricsSnapshot snapshot;
+  snapshot.counters["edge.min"] = kMin;
+  snapshot.counters["edge.max"] = kMax;
+  snapshot.counters["edge.past53"] = kPast53;
+  snapshot.gauges["edge.huge"] = 1e30;
+  for (int64_t v : {kMin, kMax, kPast53}) {
+    HistogramSnapshot h;
+    h.count = v;
+    h.overflow = v;
+    h.upper_bounds = {1.0, 2.0, 3.0};
+    h.bucket_counts = {kMin, kMax, kPast53};
+    snapshot.histograms["edge.h" + std::to_string(v)] = h;
+  }
+  const Result<MetricsSnapshot> reparsed =
+      MetricsSnapshot::FromJsonl(snapshot.ToJsonl());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed.value(), snapshot);
+}
+
+TEST(SnapshotTest, FromJsonlRejectsNonIntegerIntegerFields) {
+  const std::string counter = R"({"type":"counter","name":"c","value":)";
+  const std::string hist = R"({"type":"histogram","name":"h",)";
+  // Not int64 integers: an exponent, NaN, infinity, a fraction, and
+  // INT64_MAX + 1.
+  for (const std::string bad :
+       {"1e30", "nan", "inf", "2.5", "9223372036854775808"}) {
+    const std::string lines[] = {
+        counter + bad + "}",
+        hist + R"("count":)" + bad + "}",
+        hist + R"("overflow":)" + bad + "}",
+        hist + R"("buckets":[1,)" + bad + "]}",
+    };
+    for (const std::string& line : lines) {
+      const Result<MetricsSnapshot> parsed = MetricsSnapshot::FromJsonl(line);
+      ASSERT_FALSE(parsed.ok()) << line;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+    }
+  }
+  // A gauge's value is a double.
+  const Result<MetricsSnapshot> gauge = MetricsSnapshot::FromJsonl(
+      R"({"type":"gauge","name":"g","value":1e30})");
+  ASSERT_TRUE(gauge.ok()) << gauge.status().ToString();
+  EXPECT_EQ(gauge->gauges.at("g"), 1e30);
+}
+
+TEST(SnapshotTest, FromJsonlRejectsNonHexUnicodeEscape) {
+  const Result<MetricsSnapshot> good = MetricsSnapshot::FromJsonl(
+      R"({"type":"counter","name":"a\u001f","value":1})");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->counters.count("a\x1f"), 1u);
+  const Result<MetricsSnapshot> bad = MetricsSnapshot::FromJsonl(
+      R"({"type":"counter","name":"a\u12zz","value":1})");
+  EXPECT_FALSE(bad.ok());
+}
+
 TEST(SnapshotTest, FromJsonlRejectsGarbage) {
   EXPECT_FALSE(MetricsSnapshot::FromJsonl("not json at all").ok());
   EXPECT_FALSE(MetricsSnapshot::FromJsonl("{\"kind\":\"wat\"}").ok());
@@ -285,8 +345,6 @@ TEST(SnapshotTest, PrometheusTextExposesAllFamilies) {
   EXPECT_NE(text.find("colt_on_query_seconds_count 1"), std::string::npos);
   EXPECT_NE(text.find("_bucket{le=\"+Inf\"} 1"), std::string::npos);
 }
-
-#endif  // COLT_DISABLE_METRICS
 
 }  // namespace
 }  // namespace colt

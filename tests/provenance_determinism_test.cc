@@ -55,9 +55,6 @@ ColtRunResult RunShifting(int64_t budget) {
 }
 
 TEST(ProvenanceDeterminismTest, StreamIsInOrderWithoutDrops) {
-  if (!kProvenanceCompiledIn) {
-    GTEST_SKIP() << "provenance compiled out";
-  }
   const ColtRunResult run = RunShifting(ShiftingBudget());
   int64_t last_id = -1;
   int64_t last_epoch = 0;
@@ -72,9 +69,6 @@ TEST(ProvenanceDeterminismTest, StreamIsInOrderWithoutDrops) {
 }
 
 TEST(ProvenanceDeterminismTest, ReplayMatchesReportedMaterializedSets) {
-  if (!kProvenanceCompiledIn) {
-    GTEST_SKIP() << "provenance compiled out";
-  }
   const ColtRunResult run = RunShifting(ShiftingBudget());
   ASSERT_FALSE(run.epochs.empty());
 

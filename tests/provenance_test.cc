@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -86,6 +88,51 @@ TEST(ProvenanceJsonlTest, RoundTripIsLossless) {
   // Byte-stable, not just value-stable: the determinism gates compare
   // exports with cmp.
   EXPECT_EQ(ProvenanceToJsonl(reparsed.value()), jsonl);
+}
+
+// Integer fields never pass through a double: the INT64 bounds and 2^53+1
+// (the smallest integer a double cannot hold) come back exactly.
+TEST(ProvenanceJsonlTest, IntegersRoundTripExactly) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kPast53 = (int64_t{1} << 53) + 1;
+  std::vector<ProvenanceEvent> events;
+  for (int64_t v : {kMin, kMax, kPast53}) {
+    ProvenanceEvent event;
+    event.id = v;
+    event.epoch = v;
+    event.query_seq = v;
+    event.name = "scheduler.install";
+    event.index = v;
+    event.cluster = v;
+    ProvenanceAttr attr;
+    attr.key = "bytes";
+    attr.kind = ProvenanceAttr::Kind::kInt;
+    attr.int_value = v;
+    event.attrs.push_back(attr);
+    events.push_back(event);
+  }
+  const auto reparsed = ProvenanceFromJsonl(ProvenanceToJsonl(events));
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed.value(), events);
+}
+
+TEST(ProvenanceJsonlTest, RejectsNonIntegerIntegerFields) {
+  // Not int64 integers: an exponent, NaN, infinity, a fraction, and
+  // INT64_MAX + 1.
+  for (const std::string bad :
+       {"1e30", "nan", "inf", "2.5", "9223372036854775808"}) {
+    const std::string lines[] = {
+        R"({"id":)" + bad + R"(,"ep":0,"q":0,"name":"scheduler.install"})",
+        R"({"id":0,"ep":)" + bad + R"(,"q":0,"name":"scheduler.install"})",
+        R"({"id":0,"ep":0,"q":)" + bad + R"(,"name":"scheduler.install"})",
+    };
+    for (const std::string& line : lines) {
+      const auto parsed = ProvenanceFromJsonl(line);
+      ASSERT_FALSE(parsed.ok()) << line;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+    }
+  }
 }
 
 TEST(ProvenanceJsonlTest, RejectsGarbage) {

@@ -270,12 +270,8 @@ TEST(ServeTest, PerClientMetricsBuffersMergeIntoDefault) {
   }
   // Client-side operator instruments were recorded into per-client
   // buffers and folded into the main registry when the loop drained at the
-  // end of the run. A build with metrics compiled out records nothing.
-#ifndef COLT_DISABLE_METRICS
+  // end of the run.
   EXPECT_EQ(registry.GetCounter("exec.operator.invocations")->value(), 30);
-#else
-  EXPECT_EQ(registry.GetCounter("exec.operator.invocations")->value(), 0);
-#endif
   registry.Reset();
   registry.set_enabled(false);
 }

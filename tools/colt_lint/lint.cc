@@ -417,7 +417,7 @@ void CheckDeterminism(const std::string& path, const std::string& stripped,
 
 // True when the `new` at `word_pos` is the initializer of a function-local
 // leaky singleton (`static T* t = new T(...)`), the sanctioned idiom for
-// registries that must survive static destruction (metrics, tracing, bench
+// registries that must survive static destruction (metrics, bench
 // fixtures). Scans back to the previous statement boundary and requires the
 // statement to open with `static`.
 bool IsLeakySingletonNew(const std::string& stripped, size_t word_pos) {
@@ -499,8 +499,7 @@ void CheckIostream(const std::string& path, const std::string& original,
                    std::vector<Violation>* out) {
   if (!StartsWith(path, "src/")) return;  // benches/tools/tests are CLIs
   if (StartsWith(path, "src/common/logging") ||
-      StartsWith(path, "src/common/metrics") ||
-      StartsWith(path, "src/common/tracing")) {
+      StartsWith(path, "src/common/metrics")) {
     return;
   }
   for (const Include& inc : FindIncludes(original, stripped)) {
@@ -518,18 +517,16 @@ void CheckMetricNames(const std::string& path, const std::string& original,
                       const std::string& stripped,
                       std::vector<Violation>* out) {
   if (StartsWith(path, "src/common/metrics") ||
-      StartsWith(path, "src/common/tracing") ||
       StartsWith(path, "src/common/provenance")) {
-    return;  // the registry/tracer/recorder implementations take names as
+    return;  // the registry/recorder implementations take names as
              // parameters
   }
   // RecordEvent is the provenance emission point; event names follow the
   // metric-name contract (dotted snake_case literals) so the decision
   // taxonomy is greppable and stable across PRs.
   static const std::regex kCall(
-      R"((GetCounter|GetGauge|GetHistogram|StartSpan|RecordEvent)\s*\()");
+      R"((GetCounter|GetGauge|GetHistogram|RecordEvent)\s*\()");
   static const std::regex kMetricName(R"([a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+)");
-  static const std::regex kSpanName(R"([a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*)");
   for (auto it = std::sregex_iterator(stripped.begin(), stripped.end(),
                                       kCall);
        it != std::sregex_iterator(); ++it) {
@@ -550,15 +547,11 @@ void CheckMetricNames(const std::string& path, const std::string& original,
     const size_t end = original.find('"', pos + 1);
     if (end == std::string::npos) continue;
     const std::string name = original.substr(pos + 1, end - pos - 1);
-    const bool is_span = func == "StartSpan";
-    const std::regex& shape = is_span ? kSpanName : kMetricName;
-    if (!std::regex_match(name, shape)) {
-      out->push_back(
-          {path, line, "metric-name",
-           func + " name \"" + name + "\" must be " +
-               (is_span ? "snake_case (dots optional): e.g. \"on_query\""
-                        : "dotted snake_case with at least two segments: "
-                          "e.g. \"optimizer.whatif.calls\"")});
+    if (!std::regex_match(name, kMetricName)) {
+      out->push_back({path, line, "metric-name",
+                      func + " name \"" + name +
+                          "\" must be dotted snake_case with at least two "
+                          "segments: e.g. \"optimizer.whatif.calls\""});
     }
   }
 }

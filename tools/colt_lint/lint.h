@@ -43,10 +43,10 @@ struct Violation {
 ///                    pthread_create outside src/common/thread_pool;
 ///                    parallel work goes through colt::ThreadPool so the
 ///                    serial-equivalence contract (DESIGN.md §10) holds.
-/// - iostream:        no <iostream> in src/ (logging/metrics/tracing
-///                    excepted); harness and CLIs print via <ostream>.
-/// - metric-name:     GetCounter/GetGauge/GetHistogram names are dotted
-///                    snake_case literals; StartSpan names snake_case.
+/// - iostream:        no <iostream> in src/ (logging/metrics excepted);
+///                    harness and CLIs print via <ostream>.
+/// - metric-name:     GetCounter/GetGauge/GetHistogram/RecordEvent names
+///                    are dotted snake_case literals.
 /// - thread-role:     cross-file call-graph pass over the COLT_OWNER_ONLY /
 ///                    COLT_WORKER_SAFE / COLT_THREAD_NEUTRAL annotations
 ///                    (src/common/thread_annotations.h): worker-safe and
