@@ -1,13 +1,16 @@
 /// Microbenchmarks for the COLT core: per-query tuner overhead (the cost of
-/// monitoring itself), knapsack solves, clustering assignment, and the
-/// observability primitives the pipeline is instrumented with.
+/// monitoring itself), the selectivity and forecast inputs it recomputes,
+/// knapsack solves, clustering assignment, and the observability
+/// primitives the pipeline is instrumented with.
 #include <benchmark/benchmark.h>
 
 #include "micro_json_main.h"
 
+#include "catalog/column_stats.h"
 #include "common/metrics.h"
 #include "common/tracing.h"
 #include "core/colt.h"
+#include "core/forecasting.h"
 #include "core/knapsack.h"
 #include "harness/workloads.h"
 #include "storage/tpch_schema.h"
@@ -34,6 +37,55 @@ void BM_ColtOnQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ColtOnQuery);
+
+/// One RangeSelectivity call, the optimizer's most frequent estimate
+/// (several per query). zipf:0 reads a 32-bucket equi-width Uniform
+/// histogram, zipf:1 a 64-bucket equi-depth Zipf one, both over a million
+/// values; whole:0 asks for a range inside one middle bucket, whole:1 for
+/// the whole domain.
+void BM_RangeSelectivity(benchmark::State& state) {
+  const bool zipf = state.range(0) == 1;
+  const ColumnStats stats = zipf
+                                ? ColumnStats::Zipf(1'000'000, 6'000'000, 1.0)
+                                : ColumnStats::Uniform(1'000'000, 6'000'000);
+  int64_t lo = stats.min_value();
+  int64_t hi = stats.max_value();
+  if (state.range(1) == 0) {
+    const int mid = stats.bucket_count() / 2;
+    if (zipf) {
+      lo = stats.bucket_upper()[mid - 1] + 1;
+      hi = stats.bucket_upper()[mid];
+    } else {
+      lo = static_cast<int64_t>(mid * stats.bucket_width()) + 1;
+      hi = lo + static_cast<int64_t>(stats.bucket_width() / 4);
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stats.RangeSelectivity(lo, hi));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RangeSelectivity)
+    ->ArgNames({"zipf", "whole"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
+
+/// NetBenefit's gross forecast for one index at h = 12, with a full
+/// history and with the 3 epochs of a freshly promoted index.
+void BM_TotalPredictedBenefit(benchmark::State& state) {
+  BenefitForecaster forecaster(12);
+  Rng rng(5);
+  for (int64_t e = 0; e < state.range(0); ++e) {
+    forecaster.RecordEpoch(1, rng.NextDouble() * 1000.0);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(forecaster.TotalPredictedBenefit(1));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TotalPredictedBenefit)->ArgName("epochs")->Arg(12)->Arg(3);
 
 void BM_KnapsackDp(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -23,8 +23,8 @@ Result<std::vector<IndexId>> OfflineTuner::MineRelevantIndexes(
   columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
   std::vector<IndexId> out;
   for (const ColumnRef& col : columns) {
-    COLT_ASSIGN_OR_RETURN(IndexDescriptor desc, catalog_->IndexOn(col));
-    out.push_back(desc.id);
+    COLT_ASSIGN_OR_RETURN(const IndexId id, catalog_->IndexIdOn(col));
+    out.push_back(id);
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -33,8 +33,8 @@ ReactiveStep ReactiveTuner::OnQuery(const Query& q) {
   // materialized index it could use — no budget, no sampling.
   std::vector<IndexId> probation;
   for (const auto& pred : q.selections()) {
-    Result<IndexDescriptor> desc = catalog_->IndexOn(pred.column);
-    if (desc.ok()) probation.push_back(desc->id);
+    const Result<IndexId> id = catalog_->IndexIdOn(pred.column);
+    if (id.ok()) probation.push_back(*id);
   }
   std::sort(probation.begin(), probation.end());
   probation.erase(std::unique(probation.begin(), probation.end()),

@@ -9,7 +9,7 @@ namespace colt {
 
 namespace {
 
-uint64_t HashColumnList(const std::vector<ColumnRef>& columns) {
+uint64_t HashColumnList(std::span<const ColumnRef> columns) {
   uint64_t h = 1469598103934665603ULL;
   for (const ColumnRef& ref : columns) {
     const uint64_t packed =
@@ -122,7 +122,7 @@ IndexDescriptor Catalog::EstimateIndex(ColumnRef column) const {
   return EstimateCompositeIndex({column});
 }
 
-Result<IndexDescriptor> Catalog::IndexOn(ColumnRef column) {
+Result<IndexId> Catalog::IndexIdOn(ColumnRef column) {
   if (!column.valid() || column.table >= table_count() ||
       column.column >= tables_[column.table].column_count()) {
     return Status::InvalidArgument("invalid column reference");
@@ -132,14 +132,12 @@ Result<IndexDescriptor> Catalog::IndexOn(ColumnRef column) {
         "column " + tables_[column.table].column(column.column).name +
         " is not indexable");
   }
-  const uint64_t key = HashColumnList({column});
-  auto it = index_by_column_.find(key);
-  if (it != index_by_column_.end()) return index_by_id_.at(it->second);
-  IndexDescriptor desc = EstimateIndex(column);
-  desc.id = static_cast<IndexId>(index_by_id_.size());
-  index_by_column_.emplace(key, desc.id);
-  index_by_id_.emplace(desc.id, desc);
-  return desc;
+  return FindOrCreateIndex({&column, 1});
+}
+
+Result<IndexDescriptor> Catalog::IndexOn(ColumnRef column) {
+  COLT_ASSIGN_OR_RETURN(const IndexId id, IndexIdOn(column));
+  return index(id);
 }
 
 Result<IndexDescriptor> Catalog::CompositeIndexOn(
@@ -168,31 +166,28 @@ Result<IndexDescriptor> Catalog::CompositeIndexOn(
       }
     }
   }
+  return index(FindOrCreateIndex(columns));
+}
+
+IndexId Catalog::FindOrCreateIndex(std::span<const ColumnRef> columns) {
   const uint64_t key = HashColumnList(columns);
   auto it = index_by_column_.find(key);
-  if (it != index_by_column_.end()) return index_by_id_.at(it->second);
-  IndexDescriptor desc = EstimateCompositeIndex(columns);
-  desc.id = static_cast<IndexId>(index_by_id_.size());
+  if (it != index_by_column_.end()) return it->second;
+  IndexDescriptor desc =
+      EstimateCompositeIndex({columns.begin(), columns.end()});
+  desc.id = static_cast<IndexId>(indexes_.size());
   index_by_column_.emplace(key, desc.id);
-  index_by_id_.emplace(desc.id, desc);
-  return desc;
+  indexes_.push_back(std::move(desc));
+  return indexes_.back().id;
 }
 
 const IndexDescriptor& Catalog::index(IndexId id) const {
-  auto it = index_by_id_.find(id);
-  COLT_CHECK(it != index_by_id_.end()) << "unknown index id " << id;
-  return it->second;
+  COLT_CHECK(HasIndex(id)) << "unknown index id " << id;
+  return indexes_[static_cast<size_t>(id)];
 }
 
 std::vector<IndexDescriptor> Catalog::AllIndexes() const {
-  std::vector<IndexDescriptor> out;
-  out.reserve(index_by_id_.size());
-  for (const auto& [id, desc] : index_by_id_) out.push_back(desc);
-  std::sort(out.begin(), out.end(),
-            [](const IndexDescriptor& a, const IndexDescriptor& b) {
-              return a.id < b.id;
-            });
-  return out;
+  return {indexes_.begin(), indexes_.end()};
 }
 
 int64_t Catalog::total_rows() const {

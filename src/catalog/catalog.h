@@ -1,6 +1,8 @@
 #ifndef COLT_CATALOG_CATALOG_H_
 #define COLT_CATALOG_CATALOG_H_
 
+#include <deque>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -92,8 +94,12 @@ class Catalog {
   /// Id of the table named `name`, or kInvalidTableId.
   TableId FindTable(const std::string& name) const;
 
-  /// Returns the descriptor for the index on `column`, creating it on first
-  /// use. Fails if the column is not indexable or the reference is invalid.
+  /// Id of the index on `column`, creating its descriptor on first use.
+  /// Fails if the column is not indexable or the reference is invalid.
+  Result<IndexId> IndexIdOn(ColumnRef column);
+
+  /// A copy of the descriptor IndexIdOn(column) names. Hot paths take the
+  /// id and read the descriptor in place through index().
   Result<IndexDescriptor> IndexOn(ColumnRef column);
 
   /// Multi-column extension: descriptor for the composite index on
@@ -101,11 +107,15 @@ class Catalog {
   /// order). Deterministic id per column list; created on first use.
   Result<IndexDescriptor> CompositeIndexOn(std::vector<ColumnRef> columns);
 
-  /// Descriptor lookup by id; requires a previously created id.
+  /// Descriptor lookup by id; requires a previously created id. The
+  /// reference stays valid for the catalog's lifetime: creating further
+  /// descriptors never moves an existing one.
   const IndexDescriptor& index(IndexId id) const;
 
   /// True if an index descriptor with this id exists.
-  bool HasIndex(IndexId id) const { return index_by_id_.count(id) > 0; }
+  bool HasIndex(IndexId id) const {
+    return id >= 0 && id < static_cast<IndexId>(indexes_.size());
+  }
 
   /// All descriptors created so far.
   std::vector<IndexDescriptor> AllIndexes() const;
@@ -118,7 +128,7 @@ class Catalog {
   int32_t total_indexable_columns() const;
 
   /// Estimates B+-tree shape/size for an index on `column`.
-  /// Exposed for testing; IndexOn() uses it internally.
+  /// Exposed for testing; IndexIdOn() records this estimate.
   IndexDescriptor EstimateIndex(ColumnRef column) const;
 
   /// Estimates B+-tree shape/size for a composite index.
@@ -143,10 +153,18 @@ class Catalog {
   Status LoadState(BinaryReader* reader);
 
  private:
+  /// Id of the index on `columns` (validated by the caller), creating its
+  /// descriptor on first use.
+  IndexId FindOrCreateIndex(std::span<const ColumnRef> columns);
+
   std::vector<TableSchema> tables_;
   /// Key: FNV over the packed column list (single or composite).
   std::unordered_map<uint64_t, IndexId> index_by_column_;
-  std::unordered_map<IndexId, IndexDescriptor> index_by_id_;
+  /// Descriptors by id. Ids are dense and assigned in creation order, so
+  /// the id is the position. A deque, not a vector: appending never moves
+  /// an element, and callers keep `const IndexDescriptor&` across
+  /// IndexIdOn calls that create descriptors.
+  std::deque<IndexDescriptor> indexes_;
 };
 
 }  // namespace colt

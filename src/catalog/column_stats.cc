@@ -184,10 +184,16 @@ double ColumnStats::RangeSelectivity(int64_t lo, int64_t hi) const {
   if (clo > chi) return 0.0;
   if (type_ == HistogramType::kEquiDepth && !bucket_upper_.empty()) {
     // Sum buckets fully inside [clo, chi]; interpolate linearly (in value
-    // space) within the partially-overlapped end buckets.
+    // space) within the partially-overlapped end buckets. The walk starts
+    // at the first bucket reaching clo: every bucket before it ends below
+    // clo, overlaps nothing, and so never added to the sum.
     double selected = 0.0;
-    int64_t bucket_lo = min_;  // lowest value coverable by bucket b
-    for (size_t b = 0; b < bucket_upper_.size(); ++b) {
+    size_t b = static_cast<size_t>(
+        std::lower_bound(bucket_upper_.begin(), bucket_upper_.end(), clo) -
+        bucket_upper_.begin());
+    // Lowest value coverable by bucket b.
+    int64_t bucket_lo = b == 0 ? min_ : bucket_upper_[b - 1] + 1;
+    for (; b < bucket_upper_.size(); ++b) {
       const int64_t bucket_hi = bucket_upper_[b];
       const int64_t overlap_lo = std::max<int64_t>(bucket_lo, clo);
       const int64_t overlap_hi = std::min<int64_t>(bucket_hi, chi);
@@ -210,13 +216,33 @@ double ColumnStats::RangeSelectivity(int64_t lo, int64_t hi) const {
     return (static_cast<double>(Offset(chi, clo)) + 1.0) / span;
   }
   // Sum full buckets plus linear interpolation in the partial end buckets.
-  double selected = 0.0;
+  // Bucket b spans [b_lo(b), b_hi(b)) in double arithmetic, and both bounds
+  // grow with b, so the buckets that overlap [q_lo, q_hi) form one run. The
+  // walk covers that run: it starts at the bucket clo falls in and ends at
+  // the one chi falls in, each estimate then moved until the bucket before
+  // the first ends at or below q_lo and the bucket after the last starts at
+  // or past q_hi (rounding can put an estimate one bucket off). Every
+  // bucket outside the walk fails `overlap > 0` and would add nothing, so
+  // the sum equals the all-bucket sum bit for bit.
+  const auto bucket_lo = [&](int b) {
+    return static_cast<double>(min_) + b * bucket_width_;
+  };
+  const double q_lo = static_cast<double>(clo);
+  const double q_hi = static_cast<double>(chi) + 1.0;  // half-open
   const int nb = static_cast<int>(bucket_counts_.size());
-  for (int b = 0; b < nb; ++b) {
-    const double b_lo = static_cast<double>(min_) + b * bucket_width_;
+  const auto bucket_of = [&](double v) {
+    return static_cast<int>(
+        std::min((v - static_cast<double>(min_)) / bucket_width_,
+                 static_cast<double>(nb - 1)));
+  };
+  int first = bucket_of(q_lo);
+  while (first > 0 && bucket_lo(first - 1) + bucket_width_ > q_lo) --first;
+  int last = bucket_of(q_hi);
+  while (last + 1 < nb && bucket_lo(last + 1) < q_hi) ++last;
+  double selected = 0.0;
+  for (int b = first; b <= last; ++b) {
+    const double b_lo = bucket_lo(b);
     const double b_hi = b_lo + bucket_width_;
-    const double q_lo = static_cast<double>(clo);
-    const double q_hi = static_cast<double>(chi) + 1.0;  // half-open
     const double overlap =
         std::max(0.0, std::min(b_hi, q_hi) - std::max(b_lo, q_lo));
     if (overlap > 0.0) {

@@ -52,6 +52,10 @@ class ColumnStats {
   int bucket_count() const { return static_cast<int>(bucket_counts_.size()); }
   /// Rows per histogram bucket, in bucket order.
   const std::vector<int64_t>& bucket_counts() const { return bucket_counts_; }
+  /// Value-space width of each equi-width bucket.
+  double bucket_width() const { return bucket_width_; }
+  /// Inclusive upper value bound per bucket; empty unless equi-depth.
+  const std::vector<int64_t>& bucket_upper() const { return bucket_upper_; }
 
   /// Content hash over every field the optimizer reads (counts, bounds,
   /// histogram shape and contents). Checkpoint recovery compares the

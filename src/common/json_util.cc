@@ -1,6 +1,7 @@
 #include "common/json_util.h"
 
 #include <algorithm>
+#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -111,6 +112,9 @@ bool Reader::ReadString(std::string* out) {
           unsigned code = 0;
           const auto [end, ec] = std::from_chars(hex, hex + 4, code, 16);
           if (ec != std::errc() || end != hex + 4) return false;
+          // The writer escapes single bytes only; a wider code point has
+          // no one-byte reading.
+          if (code > 0xff) return false;
           pos_ += 4;
           c = static_cast<char>(code);
           break;
@@ -128,14 +132,42 @@ bool Reader::ReadString(std::string* out) {
 
 bool Reader::ReadDouble(double* out) {
   SkipSpace();
-  // A string_view is not NUL-terminated, so bound the strtod input with a
-  // short copy instead of handing it the raw pointer.
-  const std::string buf(
-      text_.substr(pos_, std::min<size_t>(48, text_.size() - pos_)));
-  char* end = nullptr;
-  *out = std::strtod(buf.c_str(), &end);
-  if (end == buf.c_str()) return false;
-  pos_ += static_cast<size_t>(end - buf.c_str());
+  // Only what AppendDouble's %.17g prints: an optional '-', then digits
+  // with an optional fraction and exponent, or inf / nan. strtod takes far
+  // more (hex floats, "infinity", a leading '+', "nan(...)").
+  const size_t start = pos_;
+  size_t end = start;
+  const auto at = [&](size_t i) { return i < text_.size() ? text_[i] : '\0'; };
+  const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+  const auto skip_digits = [&](size_t i) {
+    while (is_digit(at(i))) ++i;
+    return i;
+  };
+  if (at(end) == '-') ++end;
+  if (text_.substr(end, 3) == "inf" || text_.substr(end, 3) == "nan") {
+    end += 3;
+  } else {
+    const size_t digits = end;
+    end = skip_digits(end);
+    if (end == digits) return false;
+    if (at(end) == '.' && is_digit(at(end + 1))) end = skip_digits(end + 1);
+    if (at(end) == 'e' || at(end) == 'E') {
+      size_t exponent = end + 1;
+      if (at(exponent) == '+' || at(exponent) == '-') ++exponent;
+      if (is_digit(at(exponent))) end = skip_digits(exponent);
+    }
+  }
+  // The token must end here: "0x1p3", "infinity", "1.e5" and "nan(1)"
+  // carry on past a valid prefix.
+  const char next = at(end);
+  if (std::isalnum(static_cast<unsigned char>(next)) || next == '.' ||
+      next == '(' || next == '_' || next == '+' || next == '-') {
+    return false;
+  }
+  // A string_view is not NUL-terminated, so hand strtod a copy.
+  const std::string token(text_.substr(start, end - start));
+  *out = std::strtod(token.c_str(), nullptr);
+  pos_ = end;
   return true;
 }
 

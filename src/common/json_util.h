@@ -44,7 +44,13 @@ class Reader {
   /// Consumes `c` (after whitespace) and returns true, or leaves the
   /// cursor unmoved and returns false.
   bool Consume(char c);
+  /// Reads a string. A \u escape must name a single byte (at most
+  /// \u00ff), as the writer's are.
   bool ReadString(std::string* out);
+  /// Reads a number as AppendDouble prints it: an optional '-', digits, an
+  /// optional fraction and exponent, or inf, -inf, nan, -nan. Fails on any
+  /// other spelling strtod would take, such as 0x1p3, infinity, +5 or
+  /// nan(123).
   bool ReadDouble(double* out);
   /// Reads an integer token exactly. Fails on a fraction, an exponent,
   /// NaN, infinity or a value outside int64 — integers never pass

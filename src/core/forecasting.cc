@@ -5,6 +5,26 @@
 
 namespace colt {
 
+namespace {
+
+/// Sum over j = 1..depth of PredBenefit_j for a history of `epochs`
+/// epochs whose i-th most recent benefit is `epoch(i)`. PredBenefit_j's
+/// window sum is PredBenefit_{j-1}'s plus one more epoch, added in
+/// PredBenefitFrom's order, so one running sum reproduces every window sum
+/// bit for bit and the total costs O(h) instead of O(h^2).
+template <typename EpochAt>
+double SumOfForecasts(int depth, int epochs, EpochAt epoch) {
+  double total = 0.0;
+  double sum = 0.0;
+  for (int j = 1; j <= depth; ++j) {
+    if (j <= epochs) sum += epoch(j - 1);
+    total += sum / j;
+  }
+  return total;
+}
+
+}  // namespace
+
 void BenefitForecaster::RecordEpoch(IndexId index, double benefit) {
   auto& hist = history_[index];
   hist.push_front(benefit);
@@ -33,28 +53,23 @@ double BenefitForecaster::PredBenefit(IndexId index, int j) const {
 double BenefitForecaster::TotalPredictedBenefit(IndexId index) const {
   auto it = history_.find(index);
   if (it == history_.end()) return 0.0;
-  double total = 0.0;
-  for (int j = 1; j <= history_depth_; ++j) {
-    total += PredBenefitFrom(it->second, j);
-  }
-  return total;
+  const std::deque<double>& hist = it->second;
+  return SumOfForecasts(history_depth_, static_cast<int>(hist.size()),
+                        [&](int i) { return hist[i]; });
 }
 
 double BenefitForecaster::TotalPredictedBenefitWithLatest(
     IndexId index, double optimistic_latest) const {
-  std::deque<double> hist;
+  // The history with its latest epoch replaced; with no history, that
+  // epoch alone.
   auto it = history_.find(index);
-  if (it != history_.end()) hist = it->second;
-  if (hist.empty()) {
-    hist.push_front(optimistic_latest);
-  } else {
-    hist.front() = optimistic_latest;
-  }
-  double total = 0.0;
-  for (int j = 1; j <= history_depth_; ++j) {
-    total += PredBenefitFrom(hist, j);
-  }
-  return total;
+  const std::deque<double>* hist =
+      it == history_.end() ? nullptr : &it->second;
+  const int epochs =
+      std::max(1, hist == nullptr ? 0 : static_cast<int>(hist->size()));
+  return SumOfForecasts(history_depth_, epochs, [&](int i) {
+    return i == 0 ? optimistic_latest : (*hist)[i];
+  });
 }
 
 int BenefitForecaster::HistoryLength(IndexId index) const {

@@ -237,9 +237,9 @@ Profiler::ProfileOutcome Profiler::ProfileQuery(
   // 7. Crude statistics for every candidate relevant to q (line 13-14 of
   // the paper's Fig. 2): QueryGainC(q, I) = u_{q,I} * Δcost(R, σ, I).
   for (const auto& pred : q.selections()) {
-    Result<IndexDescriptor> desc = catalog_->IndexOn(pred.column);
-    if (!desc.ok()) continue;  // non-indexable attribute
-    const IndexId id = desc->id;
+    const Result<IndexId> index_id = catalog_->IndexIdOn(pred.column);
+    if (!index_id.ok()) continue;  // non-indexable attribute
+    const IndexId id = *index_id;
     double u = 1.0;  // optimistic default
     if (materialized.Contains(id)) {
       u = std::binary_search(used.begin(), used.end(), id) ? 1.0 : 0.0;
@@ -251,7 +251,7 @@ Profiler::ProfileOutcome Profiler::ProfileQuery(
       hot_stats_->EpochMeasurements(id, cluster, &sum, &cnt);
       u = (cnt > 0 && sum <= 0.0) ? 0.0 : 1.0;
     }
-    const double crude = u * optimizer_->CrudeGain(pred, *desc);
+    const double crude = u * optimizer_->CrudeGain(pred, catalog_->index(id));
     candidates_->Observe(id, crude, current_epoch);
     metrics_.level1_records->Increment();
   }

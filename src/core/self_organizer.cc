@@ -78,7 +78,8 @@ double SelfOrganizer::MaintenanceCharge(IndexId index) const {
 }
 
 double SelfOrganizer::EpochBenefit(IndexId index, bool is_materialized,
-                                   const IndexConfiguration& materialized) const {
+                                   const IndexConfiguration& materialized,
+                                   const std::vector<ClusterId>& live) const {
   // Expected benefit per epoch under the S_h-window query distribution:
   // sum over relevant clusters of (expected occurrences per epoch) x
   // (conservative gain estimate). Using the window rate instead of the raw
@@ -93,7 +94,7 @@ double SelfOrganizer::EpochBenefit(IndexId index, bool is_materialized,
   const TableId table = catalog_->index(index).column.table;
   const uint64_t sig = TableConfigSignature(*catalog_, materialized, table);
   double total = 0.0;
-  for (ClusterId cluster : clusters_->LiveClusters()) {
+  for (ClusterId cluster : live) {
     if (!RelevantToCluster(index, cluster)) continue;
     const ConfidenceInterval ci = store->Interval(index, cluster, sig);
     if (ci.low <= -kUnknownHalfWidth) continue;  // no consistent knowledge
@@ -114,12 +115,13 @@ double SelfOrganizer::EpochBenefit(IndexId index, bool is_materialized,
 }
 
 double SelfOrganizer::OptimisticEpochBenefit(
-    IndexId index, const IndexConfiguration& materialized) const {
+    IndexId index, const IndexConfiguration& materialized,
+    const std::vector<ClusterId>& live) const {
   const TableId table = catalog_->index(index).column.table;
   const uint64_t sig = TableConfigSignature(*catalog_, materialized, table);
   double total = 0.0;
   double unknown_population = 0.0;
-  for (ClusterId cluster : clusters_->LiveClusters()) {
+  for (ClusterId cluster : live) {
     if (!RelevantToCluster(index, cluster)) continue;
     const double population = clusters_->WindowRate(cluster);
     const ConfidenceInterval ci = hot_stats_->Interval(index, cluster, sig);
@@ -174,6 +176,10 @@ SelfOrganizer::Outcome SelfOrganizer::RunEpochEnd(
               budget > 0 ? static_cast<double>(chosen_bytes) / budget : 0.0);
   };
 
+  // Nothing below changes the clustering, so one sorted list of the live
+  // clusters serves every benefit estimate of this epoch end.
+  const std::vector<ClusterId> live = clusters_->LiveClusters();
+
   // ---- 1. Fold the finished epoch's observations into the forecaster,
   // net of each index's maintenance charge (DESIGN.md §16). Negative net
   // observations are recorded as-is: an index whose upkeep exceeds its
@@ -181,7 +187,8 @@ SelfOrganizer::Outcome SelfOrganizer::RunEpochEnd(
   // read-only epochs every charge is exactly 0 and this reduces to the
   // paper's benefit fold, bit for bit.
   const auto record_observation = [&](IndexId id, bool is_materialized) {
-    const double benefit = EpochBenefit(id, is_materialized, materialized);
+    const double benefit =
+        EpochBenefit(id, is_materialized, materialized, live);
     const double charge = MaintenanceCharge(id);
     if (charge > 0.0) {
       outcome.maintenance_charged += charge;
@@ -370,7 +377,8 @@ SelfOrganizer::Outcome SelfOrganizer::RunEpochEnd(
       // write-hot epoch cannot inflate the rebudget ratio with benefits
       // the index could never keep.
       const double optimistic_latest =
-          OptimisticEpochBenefit(id, materialized) - MaintenanceCharge(id);
+          OptimisticEpochBenefit(id, materialized, live) -
+          MaintenanceCharge(id);
       item.value =
           forecaster_->TotalPredictedBenefitWithLatest(id, optimistic_latest) -
           MatCost(id);

@@ -62,15 +62,18 @@ class SelfOrganizer {
 
   /// Observed benefit of `index` over the finished epoch (total cost-unit
   /// savings across the epoch's queries), from profiled gains plus
-  /// conservative interval bounds for unprofiled queries. Exposed for
-  /// tests.
+  /// conservative interval bounds for unprofiled queries, summed over
+  /// `live` (ClusterManager::LiveClusters(), which RunEpochEnd takes once
+  /// for all of its calls). Exposed for tests.
   double EpochBenefit(IndexId index, bool is_materialized,
-                      const IndexConfiguration& materialized) const;
+                      const IndexConfiguration& materialized,
+                      const std::vector<ClusterId>& live) const;
 
-  /// Optimistic (interval-upper-bound) epoch benefit for a hot index;
-  /// unknown pairs fall back to the crude candidate estimate.
+  /// Optimistic (interval-upper-bound) epoch benefit for a hot index over
+  /// `live`; unknown pairs fall back to the crude candidate estimate.
   double OptimisticEpochBenefit(IndexId index,
-                                const IndexConfiguration& materialized) const;
+                                const IndexConfiguration& materialized,
+                                const std::vector<ClusterId>& live) const;
 
   /// NetBenefit(I) = sum_j PredBenefit_j(I) - MatCost(I) (MatCost = 0 when
   /// already materialized).

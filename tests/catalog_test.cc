@@ -1,6 +1,9 @@
 #include "common/status.h"
 #include "catalog/catalog.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -95,6 +98,52 @@ TEST(Catalog, IndexOnRejectsInvalid) {
   EXPECT_FALSE(catalog.IndexOn(ColumnRef{99, 0}).ok());
 }
 
+TEST(Catalog, IndexIdOnAgreesWithIndexOn) {
+  Catalog catalog = MakeTestCatalog();
+  const Result<IndexId> val = catalog.IndexIdOn(Ref(catalog, "big", "b_val"));
+  ASSERT_TRUE(val.ok());
+  EXPECT_EQ(*val, 0);
+  EXPECT_EQ(catalog.IndexOn(Ref(catalog, "big", "b_val"))->id, *val);
+  const Result<IndexDescriptor> key =
+      catalog.IndexOn(Ref(catalog, "small", "s_ref"));
+  ASSERT_TRUE(key.ok());
+  EXPECT_EQ(key->id, 1);
+  EXPECT_EQ(*catalog.IndexIdOn(Ref(catalog, "small", "s_ref")), key->id);
+  EXPECT_FALSE(catalog.IndexIdOn(ColumnRef{}).ok());
+  EXPECT_FALSE(catalog.IndexIdOn(ColumnRef{0, 99}).ok());
+  EXPECT_FALSE(catalog.HasIndex(2));
+  EXPECT_FALSE(catalog.HasIndex(-1));
+}
+
+TEST(Catalog, DescriptorReferencesSurviveLaterCreations) {
+  // Hot paths hold `const IndexDescriptor&` while the profiler creates
+  // descriptors for newly seen columns, so creating one must never move
+  // another.
+  Catalog catalog;
+  std::vector<ColumnDef> columns;
+  for (int i = 0; i < 600; ++i) {
+    columns.push_back(
+        {"c" + std::to_string(i), ColumnType::kInt64, 8, 1'000, true});
+  }
+  catalog.AddTable(TableSchema("wide", columns, 10'000));
+  const IndexDescriptor& first = catalog.index(*catalog.IndexIdOn({0, 0}));
+  const IndexDescriptor& second = catalog.index(*catalog.IndexIdOn({0, 1}));
+  const IndexDescriptor first_copy = first;
+  for (ColumnId c = 2; c < 600; ++c) {
+    const Result<IndexId> id = catalog.IndexIdOn({0, c});
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(*id, c);  // dense ids in creation order
+  }
+  ASSERT_TRUE(catalog.CompositeIndexOn({{0, 3}, {0, 4}}).ok());
+  EXPECT_EQ(&catalog.index(0), &first);
+  EXPECT_EQ(&catalog.index(1), &second);
+  EXPECT_EQ(first.id, 0);
+  EXPECT_EQ(first.name, first_copy.name);
+  EXPECT_EQ(first.columns, first_copy.columns);
+  EXPECT_EQ(first.size_bytes, first_copy.size_bytes);
+  EXPECT_EQ(catalog.AllIndexes().size(), 601u);
+}
+
 TEST(Catalog, NonIndexableColumnRejected) {
   Catalog catalog;
   ColumnDef col;
@@ -102,6 +151,8 @@ TEST(Catalog, NonIndexableColumnRejected) {
   col.indexable = false;
   catalog.AddTable(TableSchema("t", {col}, 10));
   EXPECT_EQ(catalog.IndexOn(ColumnRef{0, 0}).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(catalog.IndexIdOn(ColumnRef{0, 0}).status().code(),
             StatusCode::kFailedPrecondition);
 }
 

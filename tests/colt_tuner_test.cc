@@ -1,8 +1,15 @@
 #include "core/colt.h"
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baseline/offline_tuner.h"
+#include "harness/experiment.h"
+#include "harness/workloads.h"
+#include "storage/tpch_schema.h"
 #include "test_util.h"
 
 namespace colt {
@@ -282,6 +289,67 @@ TEST_F(ColtTunerTest, ExplainStateCoversAllRoles) {
     }
   }
   EXPECT_TRUE(saw_materialized);
+}
+
+/// Two cycles of the Fig. 4 schedule (four 300-query phases, 50-query
+/// transitions, fig4_shifting's seeds and storage budget) through one
+/// tuner on the statistics-only TPC-H catalog. The index actions, the
+/// epoch count and the simulated seconds are pinned: any change to a
+/// tuning decision, or to a floating-point sum that feeds one, moves them.
+/// Changes that claim to keep every decision must keep these values.
+TEST(ColtTunerPinnedRun, TwoShiftingCyclesKeepTheirDecisions) {
+  Catalog catalog = MakeTpchCatalog();
+  const std::vector<QueryDistribution> dists =
+      ExperimentWorkloads::ShiftingPhases(&catalog);
+  std::vector<WorkloadPhase> phases;
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    for (const QueryDistribution& d : dists) phases.push_back({d, 300});
+  }
+  WorkloadGenerator gen(&catalog, /*seed=*/99);
+  const std::vector<Query> workload =
+      GeneratePhasedWorkload(gen, phases, /*transition_length=*/50);
+  ASSERT_EQ(workload.size(), 8u * 300 + 7 * 50);
+
+  QueryOptimizer probe(&catalog);
+  OfflineTuner miner(&catalog, &probe);
+  WorkloadGenerator sample_gen(&catalog, /*seed=*/1234);
+  std::vector<Query> sample;
+  for (const QueryDistribution& d : dists) {
+    for (int i = 0; i < 200; ++i) sample.push_back(sample_gen.Sample(d));
+  }
+  const Result<std::vector<IndexId>> relevant =
+      miner.MineRelevantIndexes(sample);
+  ASSERT_TRUE(relevant.ok()) << relevant.status().ToString();
+  ColtConfig config;
+  config.storage_budget_bytes = BudgetForIndexes(catalog, *relevant, 4.0);
+
+  QueryOptimizer optimizer(&catalog);
+  ColtTuner tuner(&catalog, &optimizer, config);
+  uint64_t action_fnv = 1469598103934665603ULL;  // FNV-1a over the actions
+  const auto hash = [&](uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      action_fnv ^= (word >> (i * 8)) & 0xff;
+      action_fnv *= 1099511628211ULL;
+    }
+  };
+  int64_t actions = 0;
+  double seconds = 0.0;
+  for (const Query& q : workload) {
+    const TuningStep step = tuner.OnQuery(q);
+    seconds += step.execution_seconds + step.profiling_seconds +
+               step.build_seconds + step.wasted_build_seconds;
+    for (const IndexAction& action : step.actions) {
+      hash(static_cast<uint64_t>(action.type));
+      hash(static_cast<uint64_t>(action.index));
+      ++actions;
+    }
+  }
+  EXPECT_EQ(tuner.epoch_reports().size(), 275u);
+  EXPECT_EQ(actions, 67);
+  EXPECT_EQ(action_fnv, 0x80ef7664887e09a1ULL);
+  // 20831.532854698762 s.
+  EXPECT_EQ(std::bit_cast<uint64_t>(seconds), 0x40d457e21a4a982dULL)
+      << seconds;
 }
 
 }  // namespace

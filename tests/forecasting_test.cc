@@ -1,6 +1,14 @@
 #include "core/forecasting.h"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <deque>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace colt {
 namespace {
@@ -124,6 +132,92 @@ TEST(Forecaster, ShortBurstForecastMuchSmallerThanSteady) {
   const double four_epochs = forecaster.TotalPredictedBenefit(1);
   EXPECT_GT(four_epochs, 2.2 * two_epochs);
   EXPECT_LT(two_epochs, 0.1 * (12 * kPerEpoch));
+}
+
+// ---- Linear-time totals against the quadratic definition ----
+
+/// PredBenefit_j: the mean of the last j epochs, missing epochs counting
+/// as 0, its window summed from scratch.
+double WindowMean(const std::deque<double>& hist, int j) {
+  if (hist.empty()) return 0.0;
+  const int window = std::min<int>(j, static_cast<int>(hist.size()));
+  double sum = 0.0;
+  for (int i = 0; i < window; ++i) sum += hist[i];
+  return sum / j;
+}
+
+/// Sum of PredBenefit_j over j = 1..depth, each one computed on its own:
+/// the O(h^2) total the running sums replaced. They must agree with it
+/// bit for bit.
+double QuadraticTotal(const std::deque<double>& hist, int depth) {
+  double total = 0.0;
+  for (int j = 1; j <= depth; ++j) total += WindowMean(hist, j);
+  return total;
+}
+
+/// The same with the latest epoch replaced by `latest`, or, with no
+/// history, `latest` as the only epoch.
+double QuadraticTotalWithLatest(std::deque<double> hist, int depth,
+                                double latest) {
+  if (hist.empty()) {
+    hist.push_front(latest);
+  } else {
+    hist.front() = latest;
+  }
+  return QuadraticTotal(hist, depth);
+}
+
+/// Benefits of mixed sign and magnitude, so that the order of additions
+/// shows in the rounding.
+double RandomBenefit(Rng* rng) {
+  const double magnitude = std::pow(10.0, rng->NextInRange(-3, 9));
+  const double sign = rng->NextBool(0.3) ? -1.0 : 1.0;
+  return sign * magnitude * rng->NextDouble();
+}
+
+TEST(ForecasterTotals, MatchQuadraticDefinitionBitForBit) {
+  Rng rng(2024);
+  for (const int depth : {0, 1, 2, 3, 12, 13}) {
+    for (int length = 0; length <= depth + 2; ++length) {
+      for (int trial = 0; trial < 20; ++trial) {
+        SCOPED_TRACE(::testing::Message() << "h " << depth << " epochs "
+                                          << length << " trial " << trial);
+        BenefitForecaster forecaster(depth);
+        const IndexId id = 7;
+        for (int e = 0; e < length; ++e) {
+          forecaster.RecordEpoch(id, RandomBenefit(&rng));
+        }
+        const std::deque<double>* recorded = forecaster.History(id);
+        const std::deque<double> hist =
+            recorded == nullptr ? std::deque<double>() : *recorded;
+        EXPECT_EQ(
+            std::bit_cast<uint64_t>(forecaster.TotalPredictedBenefit(id)),
+            std::bit_cast<uint64_t>(QuadraticTotal(hist, depth)));
+        for (const double latest :
+             {RandomBenefit(&rng), 0.0, -0.0, -1e12, 3.5}) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(
+                        forecaster.TotalPredictedBenefitWithLatest(id, latest)),
+                    std::bit_cast<uint64_t>(
+                        QuadraticTotalWithLatest(hist, depth, latest)))
+              << "latest " << latest;
+        }
+      }
+    }
+  }
+}
+
+TEST(ForecasterTotals, UnknownIndexMatchesQuadraticDefinition) {
+  for (const int depth : {0, 1, 12}) {
+    BenefitForecaster forecaster(depth);
+    EXPECT_EQ(std::bit_cast<uint64_t>(forecaster.TotalPredictedBenefit(3)),
+              std::bit_cast<uint64_t>(0.0));
+    for (const double latest : {0.0, -0.0, 42.25, -7.0}) {
+      EXPECT_EQ(
+          std::bit_cast<uint64_t>(
+              forecaster.TotalPredictedBenefitWithLatest(3, latest)),
+          std::bit_cast<uint64_t>(QuadraticTotalWithLatest({}, depth, latest)));
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -36,10 +37,13 @@ struct FixtureCase {
   const char* fixture;
   const char* claimed_path;
   const char* expected_rule;
-  // 64-bit so the struct has no padding: gtest names each case by a byte dump
-  // of the struct, and padding bytes would differ from one run to the next.
   int64_t min_findings;
 };
+
+// gtest lists each case with this rendering, and test discovery copies it
+// into the ctest name. Without it gtest dumps the struct's bytes, whose
+// string pointers move whenever the binary's layout does.
+void PrintTo(const FixtureCase& c, std::ostream* os) { *os << c.fixture; }
 
 class LintFixtureTest : public ::testing::TestWithParam<FixtureCase> {};
 

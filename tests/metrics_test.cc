@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace colt {
@@ -285,6 +287,60 @@ TEST(SnapshotTest, FromJsonlRejectsNonHexUnicodeEscape) {
   const Result<MetricsSnapshot> bad = MetricsSnapshot::FromJsonl(
       R"({"type":"counter","name":"a\u12zz","value":1})");
   EXPECT_FALSE(bad.ok());
+}
+
+TEST(SnapshotTest, FromJsonlRejectsWideUnicodeEscape) {
+  // The writer escapes single bytes; "\u2603" has no one-byte reading and
+  // used to load as its low byte, 0x03.
+  const Result<MetricsSnapshot> top = MetricsSnapshot::FromJsonl(
+      R"({"type":"counter","name":"a\u00ff","value":1})");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(top->counters.count("a\xff"), 1u);
+  for (const char* name : {"a\\u2603", "a\\u0100", "a\\uffff"}) {
+    const std::string line = std::string(R"({"type":"counter","name":")") +
+                             name + R"(","value":1})";
+    EXPECT_FALSE(MetricsSnapshot::FromJsonl(line).ok()) << line;
+  }
+}
+
+TEST(SnapshotTest, FromJsonlReadsOnlyThePrintfDoubleGrammar) {
+  const std::string gauge = R"({"type":"gauge","name":"g","value":)";
+  const std::string hist =
+      R"({"type":"histogram","name":"h","count":1,"sum":)";
+  // What %.17g prints, non-finite gauges included.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, double> good[] = {
+      {"0", 0.0},          {"-0", -0.0},
+      {"2.5", 2.5},        {"1e+30", 1e30},
+      {"-1.5e-07", -1.5e-07}, {"0.10000000000000001", 0.1},
+      {"inf", kInf},       {"-inf", -kInf},
+  };
+  for (const auto& [text, value] : good) {
+    const Result<MetricsSnapshot> parsed =
+        MetricsSnapshot::FromJsonl(gauge + text + "}");
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed->gauges.at("g")),
+              std::bit_cast<uint64_t>(value))
+        << text;
+  }
+  for (const char* text : {"nan", "-nan"}) {
+    const Result<MetricsSnapshot> parsed =
+        MetricsSnapshot::FromJsonl(gauge + text + "}");
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    EXPECT_TRUE(std::isnan(parsed->gauges.at("g"))) << text;
+  }
+  // strtod's wider grammar: hex floats, spelled-out or signed infinities,
+  // a leading '+', NaN payloads, and fractions or exponents with no
+  // digits.
+  for (const std::string bad :
+       {"0x1p3", "infinity", "-infinity", "+5", "nan(123)", "INF", "NaN",
+        "1.", ".5", "1e", "1e+", "-", "--1", "1.5.5", "1_0"}) {
+    for (const std::string& line :
+         {gauge + bad + "}", hist + bad + R"(,"buckets":[1],"bounds":[]})"}) {
+      const Result<MetricsSnapshot> parsed = MetricsSnapshot::FromJsonl(line);
+      EXPECT_FALSE(parsed.ok()) << line;
+    }
+  }
 }
 
 TEST(SnapshotTest, FromJsonlRejectsGarbage) {

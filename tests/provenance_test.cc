@@ -135,6 +135,30 @@ TEST(ProvenanceJsonlTest, RejectsNonIntegerIntegerFields) {
   }
 }
 
+TEST(ProvenanceJsonlTest, AttrValuesFollowTheWritersGrammar) {
+  const std::string head =
+      R"({"id":0,"ep":0,"q":0,"name":"scheduler.install","attrs":{"v":)";
+  // A double attr as %.17g prints it, non-finite values included.
+  for (const char* good : {"2.5", "-1e-300", "inf", "-inf", "nan"}) {
+    const auto parsed = ProvenanceFromJsonl(head + good + "}}");
+    ASSERT_TRUE(parsed.ok()) << good << ": " << parsed.status().ToString();
+    ASSERT_EQ(parsed->size(), 1u);
+    EXPECT_EQ((*parsed)[0].attrs.at(0).kind, ProvenanceAttr::Kind::kDouble)
+        << good;
+  }
+  // Spellings only strtod takes, and a \u escape wider than one byte.
+  for (const std::string bad :
+       {"0x1p3", "infinity", "+5", "nan(123)", "1.", "1e", R"("\u2603")"}) {
+    const std::string line = head + bad + "}}";
+    const auto parsed = ProvenanceFromJsonl(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  EXPECT_FALSE(ProvenanceFromJsonl(
+                   R"({"id":0,"ep":0,"q":0,"name":"scheduler.\u2603"})")
+                   .ok());
+}
+
 TEST(ProvenanceJsonlTest, RejectsGarbage) {
   EXPECT_FALSE(ProvenanceFromJsonl("not json").ok());
   EXPECT_FALSE(ProvenanceFromJsonl("{\"id\":0}").ok());

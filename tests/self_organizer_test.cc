@@ -41,6 +41,17 @@ class SelfOrganizerTest : public ::testing::Test {
     return id;
   }
 
+  /// b_key's observed and optimistic epoch benefit with nothing
+  /// materialized, over the clusters live now.
+  double ObservedBenefit() const {
+    return organizer_.EpochBenefit(b_key_, false, {},
+                                   clusters_.LiveClusters());
+  }
+  double OptimisticBenefit() const {
+    return organizer_.OptimisticEpochBenefit(b_key_, {},
+                                             clusters_.LiveClusters());
+  }
+
   ColtConfig config_;
   Catalog catalog_;
   QueryOptimizer optimizer_;
@@ -61,7 +72,7 @@ TEST_F(SelfOrganizerTest, MatCostPositiveAndTableScaled) {
 
 TEST_F(SelfOrganizerTest, EpochBenefitZeroWithoutMeasurements) {
   SeedCluster(5);
-  EXPECT_DOUBLE_EQ(organizer_.EpochBenefit(b_key_, false, {}), 0.0);
+  EXPECT_DOUBLE_EQ(ObservedBenefit(), 0.0);
 }
 
 TEST_F(SelfOrganizerTest, EpochBenefitUsesRateTimesGain) {
@@ -74,7 +85,7 @@ TEST_F(SelfOrganizerTest, EpochBenefitUsesRateTimesGain) {
                       100.0, sig);
   }
   // 24 occurrences total (4 + 20 assigns) over 1 epoch.
-  const double benefit = organizer_.EpochBenefit(b_key_, false, {});
+  const double benefit = ObservedBenefit();
   EXPECT_NEAR(benefit, 24 * 100.0, 24 * 15.0);
 }
 
@@ -85,9 +96,9 @@ TEST_F(SelfOrganizerTest, ConservativeBelowMean) {
   for (int i = 0; i < 6; ++i) {
     hot_stats_.Record(b_key_, cluster, i % 2 == 0 ? 10.0 : 190.0, sig);
   }
-  const double conservative = organizer_.EpochBenefit(b_key_, false, {});
+  const double conservative = ObservedBenefit();
   config_.conservative_estimates = false;
-  const double mean_based = organizer_.EpochBenefit(b_key_, false, {});
+  const double mean_based = ObservedBenefit();
   config_.conservative_estimates = true;
   EXPECT_LT(conservative, mean_based);
   EXPECT_GT(conservative, 0.0);  // floored fraction of the mean
@@ -99,14 +110,13 @@ TEST_F(SelfOrganizerTest, OptimisticAboveConservative) {
   for (int i = 0; i < 6; ++i) {
     hot_stats_.Record(b_key_, cluster, i % 2 == 0 ? 10.0 : 190.0, sig);
   }
-  EXPECT_GT(organizer_.OptimisticEpochBenefit(b_key_, {}),
-            organizer_.EpochBenefit(b_key_, false, {}));
+  EXPECT_GT(OptimisticBenefit(), ObservedBenefit());
 }
 
 TEST_F(SelfOrganizerTest, OptimisticFallsBackToCrudeForUnknown) {
   SeedCluster(10);
   candidates_.Observe(b_key_, 500.0, 0);  // raw in-progress crude benefit
-  const double optimistic = organizer_.OptimisticEpochBenefit(b_key_, {});
+  const double optimistic = OptimisticBenefit();
   EXPECT_NEAR(optimistic, 500.0 * config_.epoch_length, 1e-6);
 }
 
