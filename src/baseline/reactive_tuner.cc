@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "core/config.h"
 
 namespace colt {
 
@@ -43,7 +44,7 @@ ReactiveStep ReactiveTuner::OnQuery(const Query& q) {
     const auto gains = optimizer_->WhatIfOptimize(q, materialized, probation);
     step.whatif_calls = static_cast<int>(gains.size());
     total_whatif_calls_ += step.whatif_calls;
-    step.profiling_seconds = step.whatif_calls * options_.whatif_call_seconds;
+    step.profiling_seconds = step.whatif_calls * kWhatIfCallSeconds;
     for (const auto& g : gains) {
       CandidateState& state = candidates_[g.index];
       state.gains.emplace_back(query_number_, std::max(0.0, g.gain));

@@ -37,7 +37,6 @@ class ReactiveTuner {
     /// Gains older than this many queries decay away (sliding window), so
     /// the tuner eventually drops indexes the workload abandoned.
     int gain_window_queries = 120;
-    double whatif_call_seconds = 0.02;
   };
 
   ReactiveTuner(Catalog* catalog, QueryOptimizer* optimizer, Options options)

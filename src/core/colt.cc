@@ -37,7 +37,7 @@ ColtTuner::ColtTuner(Catalog* catalog, QueryOptimizer* optimizer,
       clusters_(catalog, config.history_depth),
       hot_stats_(config.confidence),
       mat_stats_(config.confidence),
-      candidates_(config.history_depth, config.crude_smoothing_alpha),
+      candidates_(config.history_depth, kCrudeSmoothingAlpha),
       forecaster_(config.history_depth),
       profiler_(catalog, optimizer, &clusters_, &hot_stats_, &mat_stats_,
                 &candidates_, &config_, seed, &faults_, provenance_.get()),
@@ -47,8 +47,6 @@ ColtTuner::ColtTuner(Catalog* catalog, QueryOptimizer* optimizer,
       scheduler_(catalog, &optimizer->cost_model(), db,
                  config.scheduling_strategy, &faults_,
                  Scheduler::RetryPolicy{config.max_build_retries,
-                                        config.build_backoff_base_rounds,
-                                        config.max_build_backoff_rounds,
                                         config.quarantine_cooldown_rounds},
                  provenance_.get()),
       whatif_limit_(config.max_whatif_per_epoch) {
@@ -322,7 +320,7 @@ TuningStep ColtTuner::OnQuery(const Query& q) {
       // now inconsistent, so guarantee enough budget to re-validate.
       whatif_limit_ = std::min(
           config_.max_whatif_per_epoch,
-          std::max(whatif_limit_, config_.min_budget_after_change));
+          std::max(whatif_limit_, kMinBudgetAfterChange));
     }
     whatif_used_ = 0;
     queries_in_epoch_ = 0;
@@ -357,23 +355,13 @@ uint64_t ColtTuner::ConfigFingerprint() const {
   w.WriteI64(config_.history_depth);
   w.WriteI64(config_.max_whatif_per_epoch);
   w.WriteDouble(config_.confidence);
-  w.WriteDouble(config_.crude_smoothing_alpha);
   w.WriteI64(config_.max_hot_set_size);
-  w.WriteDouble(config_.min_sample_rate);
-  w.WriteI64(config_.min_measurements_for_interval);
-  w.WriteDouble(config_.rebudget_low);
-  w.WriteDouble(config_.rebudget_high);
-  w.WriteDouble(config_.whatif_call_seconds);
   w.WriteI64(static_cast<int64_t>(config_.scheduling_strategy));
   w.WriteDouble(config_.idle_seconds_per_query);
   w.WriteBool(config_.fill_hot_by_density);
-  w.WriteI64(config_.min_budget_for_fresh_hot);
-  w.WriteI64(config_.min_budget_after_change);
   w.WriteBool(config_.mine_multicolumn_candidates);
   w.WriteBool(config_.charge_index_maintenance);
   w.WriteI64(config_.max_build_retries);
-  w.WriteI64(config_.build_backoff_base_rounds);
-  w.WriteI64(config_.max_build_backoff_rounds);
   w.WriteI64(config_.quarantine_cooldown_rounds);
   w.WriteDouble(config_.whatif_deadline_seconds);
   w.WriteBool(config_.enable_rebudgeting);
@@ -381,7 +369,6 @@ uint64_t ColtTuner::ConfigFingerprint() const {
   w.WriteDouble(config_.uniform_sample_rate);
   w.WriteBool(config_.conservative_estimates);
   w.WriteBool(config_.use_greedy_knapsack);
-  w.WriteDouble(config_.conservative_floor_fraction);
   // Deliberately excluded: storage_budget_bytes (mutable at runtime via
   // budget.shrink faults; persisted as live state instead),
   // epoch_metrics_snapshot and provenance_events (bit-identical tuning

@@ -19,6 +19,51 @@ namespace colt {
 /// work in the paper and here.)
 enum class SchedulingStrategy { kImmediate, kIdleTime };
 
+// ---- Fixed tuning constants ----
+// These hold for every run; ColtConfig below carries what a caller varies.
+
+/// Smoothing factor for the across-epoch smoothing of crude BenefitC.
+inline constexpr double kCrudeSmoothingAlpha = 0.4;
+/// Floor for the adaptive sampling probability of a well-profiled pair.
+inline constexpr double kMinSampleRate = 0.05;
+/// Pairs with fewer than this many measurements always sample (rate 1).
+inline constexpr int kMinMeasurementsForInterval = 2;
+
+/// Re-budgeting threshold (§5): profiling is suspended when the
+/// optimistic-to-current NetBenefit ratio r <= kRebudgetLow, maximized
+/// (#WI_lim = #WI_max) when r >= kRebudgetHigh, and linear in between.
+inline constexpr double kRebudgetLow = 1.0;
+/// Upper re-budgeting threshold; see kRebudgetLow.
+inline constexpr double kRebudgetHigh = 1.3;
+
+/// Simulated wall-clock charge per what-if optimizer call, in seconds.
+inline constexpr double kWhatIfCallSeconds = 0.02;
+
+/// Minimum #WI_lim granted when the hot set contains indexes that have
+/// never been profiled (re-budgeting needs at least some evidence about
+/// fresh hot indexes before it can judge their potential).
+inline constexpr int kMinBudgetForFreshHot = 5;
+/// Minimum #WI_lim for the epoch right after the materialized set
+/// changed. A configuration change invalidates the gain statistics of
+/// every index on the affected tables (the consistency rule of §4.1);
+/// without a re-validation budget those benefits would decay to zero and
+/// good indexes would be dropped and expensively rebuilt.
+inline constexpr int kMinBudgetAfterChange = 10;
+
+/// Backoff before a failed build may be retried, in reorganization
+/// rounds (one round = one epoch under COLT). Doubles after each
+/// consecutive failure, capped at kMaxBuildBackoffRounds.
+inline constexpr int kBuildBackoffBaseRounds = 1;
+/// Cap on the doubled build backoff; see kBuildBackoffBaseRounds.
+inline constexpr int kMaxBuildBackoffRounds = 8;
+
+/// Floor for the conservative gain estimate as a fraction of the sample
+/// mean. With 2-3 samples and high within-cluster variance the Student-t
+/// lower bound collapses to 0, which (under a starved what-if budget)
+/// makes genuinely useful indexes decay and get dropped; the floor keeps
+/// the estimate conservative without letting it vanish entirely.
+inline constexpr double kConservativeFloorFraction = 0.25;
+
 /// Tuning parameters of the COLT framework. Defaults are the paper's
 /// experimental settings (§6.1): w = 10, h = 12, #WI_max = 20, 90%
 /// confidence intervals.
@@ -34,24 +79,9 @@ struct ColtConfig {
   /// On-line storage budget B in bytes for the materialized set.
   int64_t storage_budget_bytes = 512LL * 1024 * 1024;
 
-  /// Smoothing factor for the across-epoch smoothing of crude BenefitC.
-  double crude_smoothing_alpha = 0.4;
   /// Upper bound on the size of the hot set (the two-means top cluster is
   /// truncated to this many indexes if larger).
   int max_hot_set_size = 10;
-  /// Floor for the adaptive sampling probability of a well-profiled pair.
-  double min_sample_rate = 0.05;
-  /// Pairs with fewer than this many measurements always sample (rate 1).
-  int min_measurements_for_interval = 2;
-
-  /// Re-budgeting thresholds (§5): profiling is suspended when the
-  /// optimistic-to-current NetBenefit ratio r <= rebudget_low and maximized
-  /// (#WI_lim = #WI_max) when r >= rebudget_high, linear in between.
-  double rebudget_low = 1.0;
-  double rebudget_high = 1.3;
-
-  /// Simulated wall-clock charge per what-if optimizer call, in seconds.
-  double whatif_call_seconds = 0.02;
 
   /// Materialization scheduling (paper §3): immediate asynchronous builds
   /// (the paper's implementation) or builds progressed only during idle
@@ -67,16 +97,6 @@ struct ColtConfig {
   /// KNAPSACK likes — can be starved forever by large-table candidates
   /// whose absolute benefit dominates the two-means split.
   bool fill_hot_by_density = true;
-  /// Minimum #WI_lim granted when the hot set contains indexes that have
-  /// never been profiled (re-budgeting needs at least some evidence about
-  /// fresh hot indexes before it can judge their potential).
-  int min_budget_for_fresh_hot = 5;
-  /// Minimum #WI_lim for the epoch right after the materialized set
-  /// changed. A configuration change invalidates the gain statistics of
-  /// every index on the affected tables (the consistency rule of §4.1);
-  /// without a re-validation budget those benefits would decay to zero and
-  /// good indexes would be dropped and expensively rebuilt.
-  int min_budget_after_change = 10;
 
   /// Extension (the paper's stated future work): also mine two-column
   /// composite index candidates from queries with multiple selection
@@ -101,11 +121,6 @@ struct ColtConfig {
   /// Consecutive failed build attempts of one index before it is
   /// quarantined (excluded from Self-Organizer picks for a cooldown).
   int max_build_retries = 3;
-  /// Backoff before a failed build may be retried, in reorganization
-  /// rounds (one round = one epoch under COLT). Doubles after each
-  /// consecutive failure, capped at max_build_backoff_rounds.
-  int build_backoff_base_rounds = 1;
-  int max_build_backoff_rounds = 8;
   /// Rounds a quarantined index stays excluded before its failure history
   /// is forgotten and builds may be attempted again.
   int quarantine_cooldown_rounds = 24;
@@ -130,12 +145,6 @@ struct ColtConfig {
   /// When true, reorganization uses the greedy value-density heuristic
   /// instead of the KNAPSACK DP.
   bool use_greedy_knapsack = false;
-  /// Floor for the conservative gain estimate as a fraction of the sample
-  /// mean. With 2-3 samples and high within-cluster variance the Student-t
-  /// lower bound collapses to 0, which (under a starved what-if budget)
-  /// makes genuinely useful indexes decay and get dropped; the floor keeps
-  /// the estimate conservative without letting it vanish entirely.
-  double conservative_floor_fraction = 0.25;
 
   // ---- Crash-safe persistence (DESIGN.md §12) ----
   /// State directory for checkpoint/WAL persistence of the tuner's

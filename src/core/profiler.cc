@@ -81,7 +81,7 @@ double Profiler::ErrorContribution(IndexId index, ClusterId cluster,
   const GainStatsStore* store =
       materialized.Contains(index) ? mat_stats_ : hot_stats_;
   const int64_t n = store->MeasurementCount(index, cluster, sig);
-  if (n < config_->min_measurements_for_interval) {
+  if (n < kMinMeasurementsForInterval) {
     return std::numeric_limits<double>::infinity();
   }
   const double var = store->Variance(index, cluster, sig);
@@ -100,9 +100,9 @@ double Profiler::SampleRate(IndexId index, ClusterId cluster,
   if (max_error <= 0.0 || std::isinf(max_error)) {
     // All competing pairs are unmeasured or error-free; keep a floor so a
     // measured pair still refreshes occasionally.
-    return e > 0.0 ? 1.0 : config_->min_sample_rate;
+    return e > 0.0 ? 1.0 : kMinSampleRate;
   }
-  return std::clamp(e / max_error, config_->min_sample_rate, 1.0);
+  return std::clamp(e / max_error, kMinSampleRate, 1.0);
 }
 
 Profiler::ProfileOutcome Profiler::ProfileQuery(
@@ -183,7 +183,7 @@ Profiler::ProfileOutcome Profiler::ProfileQuery(
     int issued = 0;
     double charged = 0.0;
     for (IndexId id : probation) {
-      double call_seconds = config_->whatif_call_seconds;
+      double call_seconds = kWhatIfCallSeconds;
       if (faulty) {
         call_seconds *= faults_->Multiplier(fault_sites::kWhatIfSlow);
       }

@@ -56,7 +56,7 @@ class Profiler {
     /// because the what-if call failed or the per-query deadline was hit.
     int degraded_calls = 0;
     /// Simulated profiling time for this query (reflects `*.slow` latency
-    /// faults; equals whatif_calls * whatif_call_seconds without them).
+    /// faults; equals whatif_calls * kWhatIfCallSeconds without them).
     double charged_seconds = 0.0;
   };
 

@@ -106,8 +106,8 @@ void Scheduler::RecordBuildFailure(IndexId id,
   } else {
     const int shift = state.consecutive_failures - 1;
     const int64_t backoff = std::min<int64_t>(
-        retry_.max_backoff_rounds,
-        static_cast<int64_t>(retry_.backoff_base_rounds) << shift);
+        kMaxBuildBackoffRounds,
+        static_cast<int64_t>(kBuildBackoffBaseRounds) << shift);
     state.retry_after_round = round_ + std::max<int64_t>(1, backoff);
     metrics_.backoff_events->Increment();
     if (provenance_ != nullptr) {

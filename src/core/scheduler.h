@@ -40,12 +40,11 @@ struct IndexAction {
   double build_seconds = 0.0;
 };
 
-/// Retry/backoff/quarantine policy for failed index builds (defaults
-/// mirror ColtConfig).
+/// Retry/quarantine policy for failed index builds (defaults mirror
+/// ColtConfig). The backoff between retries is kBuildBackoffBaseRounds,
+/// doubled per consecutive failure up to kMaxBuildBackoffRounds.
 struct SchedulerRetryPolicy {
   int max_build_retries = 3;
-  int backoff_base_rounds = 1;
-  int max_backoff_rounds = 8;
   int quarantine_cooldown_rounds = 24;
 };
 

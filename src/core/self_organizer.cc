@@ -103,8 +103,7 @@ double SelfOrganizer::EpochBenefit(IndexId index, bool is_materialized,
     // samples the Student-t lower bound IS the paper's "strong evidence"
     // gate and flooring it would trigger materialization on noise.
     const int64_t n = store->MeasurementCount(index, cluster, sig);
-    const double floor =
-        n >= 4 ? config_->conservative_floor_fraction * mean : 0.0;
+    const double floor = n >= 4 ? kConservativeFloorFraction * mean : 0.0;
     const double estimate =
         config_->conservative_estimates
             ? std::max(0.0, std::max(ci.low, floor))
@@ -405,13 +404,12 @@ SelfOrganizer::Outcome SelfOrganizer::RunEpochEnd(
   }
   r = std::max(r, 1.0);
   outcome.rebudget_ratio = r;
-  if (r <= config_->rebudget_low) {
+  if (r <= kRebudgetLow) {
     outcome.next_whatif_limit = 0;
-  } else if (r >= config_->rebudget_high) {
+  } else if (r >= kRebudgetHigh) {
     outcome.next_whatif_limit = config_->max_whatif_per_epoch;
   } else {
-    const double f = (r - config_->rebudget_low) /
-                     (config_->rebudget_high - config_->rebudget_low);
+    const double f = (r - kRebudgetLow) / (kRebudgetHigh - kRebudgetLow);
     outcome.next_whatif_limit = static_cast<int>(
         std::ceil(f * config_->max_whatif_per_epoch));
   }
@@ -424,8 +422,7 @@ SelfOrganizer::Outcome SelfOrganizer::RunEpochEnd(
   if (fresh_hot) {
     outcome.next_whatif_limit =
         std::min(config_->max_whatif_per_epoch,
-                 std::max(outcome.next_whatif_limit,
-                          config_->min_budget_for_fresh_hot));
+                 std::max(outcome.next_whatif_limit, kMinBudgetForFreshHot));
   }
   if (provenance_ != nullptr) {
     ProvenanceRecorder::EventBuilder event =

@@ -7,30 +7,12 @@
 
 namespace colt {
 
-namespace {
-
-/// FNV signature of the config indexes that live on `table`.
-uint64_t ConfigSigForTable(const Catalog& catalog,
-                           const IndexConfiguration& config, TableId table) {
-  uint64_t h = 1469598103934665603ULL;
-  for (IndexId id : config.ids()) {
-    if (catalog.index(id).column.table != table) continue;
-    h ^= static_cast<uint64_t>(id) + 0x9e3779b97f4a7c15ULL;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 QueryOptimizer::QueryOptimizer(const Catalog* catalog, CostParams params)
     : catalog_(catalog), cost_model_(params) {
   MetricsRegistry& reg = MetricsRegistry::Default();
   metrics_.optimize_calls = reg.GetCounter("optimizer.optimize.calls");
   metrics_.whatif_calls = reg.GetCounter("optimizer.whatif.calls");
   metrics_.whatif_probes = reg.GetCounter("optimizer.whatif.probes");
-  metrics_.memo_hits = reg.GetCounter("optimizer.memo.hits");
-  metrics_.memo_misses = reg.GetCounter("optimizer.memo.misses");
   metrics_.plan_seconds = reg.GetHistogram("optimizer.plan.seconds");
   metrics_.whatif_seconds = reg.GetHistogram("optimizer.whatif.seconds");
 }
@@ -47,18 +29,7 @@ double QueryOptimizer::CombinedSelectivity(const Query& q,
 }
 
 QueryOptimizer::AccessPath QueryOptimizer::BestAccessPath(
-    const Query& q, TableId table, const IndexConfiguration& config,
-    std::unordered_map<TableKey, AccessPath, TableKeyHash>* memo) {
-  const TableKey key{table, ConfigSigForTable(*catalog_, config, table)};
-  if (memo != nullptr) {
-    auto it = memo->find(key);
-    if (it != memo->end()) {
-      ++stats_.subplan_reuses;
-      metrics_.memo_hits->Increment();
-      return it->second;
-    }
-    metrics_.memo_misses->Increment();
-  }
+    const Query& q, TableId table, const IndexConfiguration& config) const {
   const TableSchema& schema = catalog_->table(table);
   const auto selections = q.SelectionsOn(table);
   const double combined_sel = CombinedSelectivity(q, table);
@@ -115,7 +86,6 @@ QueryOptimizer::AccessPath QueryOptimizer::BestAccessPath(
                                   : PlanNodeType::kIndexScan;
     }
   }
-  if (memo != nullptr) memo->emplace(key, best);
   return best;
 }
 
@@ -172,8 +142,7 @@ double QueryOptimizer::JoinSelectivity(
 }
 
 PlanResult QueryOptimizer::OptimizeWrite(
-    const Query& q, const IndexConfiguration& config,
-    std::unordered_map<TableKey, AccessPath, TableKeyHash>* memo) {
+    const Query& q, const IndexConfiguration& config) const {
   const TableId table = q.write_table();
   const TableSchema& schema = catalog_->table(table);
   PlanResult result;
@@ -185,7 +154,7 @@ PlanResult QueryOptimizer::OptimizeWrite(
     const CostEstimate heap = cost_model_.HeapAppend(schema, affected);
     result.cost = heap.cost;
   } else {
-    const AccessPath locate = BestAccessPath(q, table, config, memo);
+    const AccessPath locate = BestAccessPath(q, table, config);
     affected = locate.rows;
     const CostEstimate heap = cost_model_.HeapWriteBack(schema, affected);
     result.cost = locate.cost + heap.cost;
@@ -218,17 +187,17 @@ PlanResult QueryOptimizer::OptimizeWrite(
 }
 
 PlanResult QueryOptimizer::OptimizeInternal(
-    const Query& q, const IndexConfiguration& config,
-    std::unordered_map<TableKey, AccessPath, TableKeyHash>* memo) {
-  if (q.is_write()) return OptimizeWrite(q, config, memo);
+    const Query& q, const IndexConfiguration& config) const {
+  if (q.is_write()) return OptimizeWrite(q, config);
   const auto& tables = q.tables();
   const size_t n = tables.size();
-  COLT_CHECK(n >= 1 && n <= 16) << "unsupported table count " << n;
+  COLT_CHECK(n >= 1 && n <= kMaxQueryTables)
+      << "unsupported table count " << n;
 
   // Leaf access paths.
   std::vector<AccessPath> leaf(n);
   for (size_t i = 0; i < n; ++i) {
-    leaf[i] = BestAccessPath(q, tables[i], config, memo);
+    leaf[i] = BestAccessPath(q, tables[i], config);
   }
 
   if (n == 1) {
@@ -385,39 +354,30 @@ PlanResult QueryOptimizer::OptimizeInternal(
 
 PlanResult QueryOptimizer::Optimize(const Query& q,
                                     const IndexConfiguration& config) {
-  ++stats_.optimize_calls;
   metrics_.optimize_calls->Increment();
   ScopedTimer timer(metrics_.plan_seconds);
-  std::unordered_map<TableKey, AccessPath, TableKeyHash> memo;
-  return OptimizeInternal(q, config, &memo);
+  return OptimizeInternal(q, config);
 }
 
 std::vector<IndexGain> QueryOptimizer::WhatIfOptimize(
     const Query& q, const IndexConfiguration& materialized,
     const std::vector<IndexId>& probation) {
-  ++stats_.optimize_calls;
   metrics_.optimize_calls->Increment();
   metrics_.whatif_calls->Increment();
   ScopedTimer timer(metrics_.whatif_seconds);
-  // The memo is shared across the base optimization and every what-if
-  // re-optimization: access paths of tables unaffected by the probed index
-  // are reused rather than recomputed.
-  std::unordered_map<TableKey, AccessPath, TableKeyHash> memo;
-  const double base = OptimizeInternal(q, materialized, &memo).cost;
+  const double base = OptimizeInternal(q, materialized).cost;
   std::vector<IndexGain> gains;
   gains.reserve(probation.size());
   for (IndexId id : probation) {
-    ++stats_.whatif_calls;
     metrics_.whatif_probes->Increment();
     IndexGain g;
     g.index = id;
     if (materialized.Contains(id)) {
       // Pretend the materialized index is unavailable; the gain is the
       // resulting increase in execution cost (paper §4.1, QueryGainM).
-      g.gain =
-          OptimizeInternal(q, materialized.Without(id), &memo).cost - base;
+      g.gain = OptimizeInternal(q, materialized.Without(id)).cost - base;
     } else {
-      g.gain = base - OptimizeInternal(q, materialized.With(id), &memo).cost;
+      g.gain = base - OptimizeInternal(q, materialized.With(id)).cost;
     }
     gains.push_back(g);
   }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -44,17 +43,6 @@ struct IndexGain {
   double gain = 0.0;
 };
 
-/// Cumulative optimizer statistics (profiling-overhead accounting).
-struct OptimizerStats {
-  int64_t optimize_calls = 0;
-  /// Number of probed indexes across all WhatIfOptimize calls; this is the
-  /// quantity COLT budgets with #WI_lim / #WI_max.
-  int64_t whatif_calls = 0;
-  /// Access-path memo hits inside what-if re-optimizations — the paper's
-  /// "reuse of intermediate solutions from the initial query optimization".
-  int64_t subplan_reuses = 0;
-};
-
 /// The Extended Query Optimizer (paper §3): a Selinger-style cost-based
 /// optimizer over the catalog statistics, extended with the what-if
 /// interface WHATIFOPTIMIZE(q, P).
@@ -74,7 +62,7 @@ class QueryOptimizer {
   /// in optimal execution cost of `q` between the configurations
   /// `materialized - {I}` and `materialized + {I}` (so: the savings I is
   /// responsible for, whether or not I is currently materialized).
-  /// Each probed index counts as one what-if call in stats().
+  /// Each probed index counts once in `optimizer.whatif.probes`.
   std::vector<IndexGain> WhatIfOptimize(
       const Query& q, const IndexConfiguration& materialized,
       const std::vector<IndexId>& probation);
@@ -96,9 +84,6 @@ class QueryOptimizer {
   std::vector<IndexId> RelevantIndexes(const Query& q,
                                        const IndexConfiguration& config) const;
 
-  const OptimizerStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = OptimizerStats(); }
-
   const CostModel& cost_model() const { return cost_model_; }
   const Catalog& catalog() const { return *catalog_; }
 
@@ -112,38 +97,18 @@ class QueryOptimizer {
     PlanNodeType scan_type = PlanNodeType::kSeqScan;
   };
 
-  /// Memo of best access paths, keyed by (table, signature of config
-  /// indexes on that table). Lives across Optimize calls; correct because
-  /// an access path depends only on the query's predicates for that table
-  /// and the indexes available on it. Cleared per query.
-  struct TableKey {
-    TableId table;
-    uint64_t config_sig;
-    bool operator==(const TableKey&) const = default;
-  };
-  struct TableKeyHash {
-    size_t operator()(const TableKey& k) const {
-      return std::hash<uint64_t>()(
-          (static_cast<uint64_t>(k.table) << 48) ^ k.config_sig);
-    }
-  };
-
   AccessPath BestAccessPath(const Query& q, TableId table,
-                            const IndexConfiguration& config,
-                            std::unordered_map<TableKey, AccessPath,
-                                               TableKeyHash>* memo);
+                            const IndexConfiguration& config) const;
 
-  PlanResult OptimizeInternal(const Query& q, const IndexConfiguration& config,
-                              std::unordered_map<TableKey, AccessPath,
-                                                 TableKeyHash>* memo);
+  PlanResult OptimizeInternal(const Query& q,
+                              const IndexConfiguration& config) const;
 
   /// Plans an INSERT/UPDATE/DELETE: locate cost (UPDATE/DELETE reuse
   /// BestAccessPath over the WHERE clause), heap write cost, and the
   /// per-index maintenance cost for every config index the statement must
   /// keep fresh (DESIGN.md §16).
-  PlanResult OptimizeWrite(const Query& q, const IndexConfiguration& config,
-                           std::unordered_map<TableKey, AccessPath,
-                                              TableKeyHash>* memo);
+  PlanResult OptimizeWrite(const Query& q,
+                           const IndexConfiguration& config) const;
 
   /// Join selectivity of the predicate set connecting `t` to tables in
   /// `mask`; also reports one usable equi-join predicate for index-NLJ.
@@ -158,7 +123,6 @@ class QueryOptimizer {
 
   const Catalog* catalog_;
   CostModel cost_model_;
-  OptimizerStats stats_;
 
   /// Instrument pointers fetched once from MetricsRegistry::Default();
   /// updates are no-ops until the registry is enabled.
@@ -166,8 +130,6 @@ class QueryOptimizer {
     Counter* optimize_calls;
     Counter* whatif_calls;
     Counter* whatif_probes;
-    Counter* memo_hits;
-    Counter* memo_misses;
     Histogram* plan_seconds;
     Histogram* whatif_seconds;
   };

@@ -65,6 +65,13 @@ bool Query::UsesTable(TableId table) const {
 
 Status Query::Validate(const Catalog& catalog) const {
   if (tables_.empty()) return Status::InvalidArgument("query has no tables");
+  if (tables_.size() > kMaxQueryTables) {
+    return Status::InvalidArgument("query reads " +
+                                   std::to_string(tables_.size()) +
+                                   " tables; at most " +
+                                   std::to_string(kMaxQueryTables) +
+                                   " are supported");
+  }
   for (TableId t : tables_) {
     if (t < 0 || t >= catalog.table_count()) {
       return Status::InvalidArgument("unknown table id");

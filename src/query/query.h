@@ -1,6 +1,7 @@
 #ifndef COLT_QUERY_QUERY_H_
 #define COLT_QUERY_QUERY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -28,6 +29,12 @@ struct SetClause {
 
   friend bool operator==(const SetClause&, const SetClause&) = default;
 };
+
+/// Most tables one statement may read. The optimizer's join search keeps
+/// one entry per subset of a query's tables, 2^n of them, and checks this
+/// bound; Query::Validate refuses more, so no parsed or loaded statement
+/// reaches that check.
+inline constexpr size_t kMaxQueryTables = 16;
 
 /// A statement. For SELECT: a select-project-join query — a set of tables,
 /// equi-join predicates connecting them, and conjunctive range/equality
@@ -80,9 +87,10 @@ class Query {
   /// True if `table` participates in the query.
   bool UsesTable(TableId table) const;
 
-  /// Validates internal consistency against a catalog (tables exist, join
-  /// and selection columns belong to the query's tables; write statements
-  /// target exactly one table, never join, and reference valid columns).
+  /// Validates internal consistency against a catalog (1 to
+  /// kMaxQueryTables tables that exist, join and selection columns belong
+  /// to the query's tables; write statements target exactly one table,
+  /// never join, and reference valid columns).
   Status Validate(const Catalog& catalog) const;
 
   std::string ToString(const Catalog& catalog) const;

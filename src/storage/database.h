@@ -114,8 +114,10 @@ class Database {
 
   /// Overwrites the (column, value) `sets` on each row of `rows`, erasing
   /// and re-inserting the entry of every built index keyed on an assigned
-  /// column. Rows must be live. Safe against concurrent snapshot readers:
-  /// index mutation goes through the OLC tree in place.
+  /// column. Rows must be live. The cell stores are unsynchronised, so no
+  /// read of this database may be in flight during the call, whatever the
+  /// OLC trees allow; ServeWorkload's write fence guarantees this for
+  /// served writes.
   COLT_OWNER_ONLY Result<WriteOutcome> UpdateRows(
       TableId table, const std::vector<RowId>& rows,
       const std::vector<std::pair<ColumnId, int64_t>>& sets);

@@ -87,8 +87,6 @@ TEST_F(ChaosSchedulerTest, RetryBackoffQuarantineSchedule) {
   FaultInjector faults(fault_config);
   Scheduler::RetryPolicy retry;
   retry.max_build_retries = 3;
-  retry.backoff_base_rounds = 1;
-  retry.max_backoff_rounds = 8;
   retry.quarantine_cooldown_rounds = 5;
   Scheduler scheduler(&catalog_, &cost_model_, nullptr,
                       SchedulingStrategy::kImmediate, &faults, retry);
@@ -263,7 +261,7 @@ TEST_F(ChaosTunerTest, WhatIfFailureDegradesToCrudeEstimate) {
 
 TEST_F(ChaosTunerTest, WhatIfDeadlineSkipsWithoutCharging) {
   // Deadline below one call's cost: every probe degrades, nothing charged.
-  config_.whatif_deadline_seconds = config_.whatif_call_seconds * 0.5;
+  config_.whatif_deadline_seconds = kWhatIfCallSeconds * 0.5;
   ColtTuner tuner(&catalog_, &optimizer_, config_);
   double charged = 0.0;
   for (const auto& q : KeyHeavyWorkload(catalog_, 100, 5)) {

@@ -133,7 +133,7 @@ TEST_F(ColtTunerTest, ProfilingOverheadMatchesCallCount) {
   for (const auto& q : KeyHeavyWorkload(catalog_, 50, 7)) {
     const TuningStep step = tuner.OnQuery(q);
     EXPECT_NEAR(step.profiling_seconds,
-                step.whatif_calls * config_.whatif_call_seconds, 1e-12);
+                step.whatif_calls * kWhatIfCallSeconds, 1e-12);
   }
 }
 

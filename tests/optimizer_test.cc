@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "test_util.h"
 
@@ -33,6 +34,27 @@ class OptimizerTest : public ::testing::Test {
   QueryOptimizer optimizer_;
   IndexId b_key_, b_val_, s_ref_;
 };
+
+/// Checks every what-if gain, bit for bit, against the difference of two
+/// separate Optimize calls.
+void ExpectGainsMatchSeparateOptimizes(
+    QueryOptimizer* optimizer, const Query& q,
+    const IndexConfiguration& materialized,
+    const std::vector<IndexId>& probation) {
+  const double base = optimizer->Optimize(q, materialized).cost;
+  const std::vector<IndexGain> gains =
+      optimizer->WhatIfOptimize(q, materialized, probation);
+  ASSERT_EQ(gains.size(), probation.size());
+  for (size_t i = 0; i < probation.size(); ++i) {
+    const IndexId id = probation[i];
+    EXPECT_EQ(gains[i].index, id);
+    const double expected =
+        materialized.Contains(id)
+            ? optimizer->Optimize(q, materialized.Without(id)).cost - base
+            : base - optimizer->Optimize(q, materialized.With(id)).cost;
+    EXPECT_EQ(gains[i].gain, expected) << "probe " << id;
+  }
+}
 
 TEST_F(OptimizerTest, SeqScanWithoutIndexes) {
   const Query q = MakeRangeQuery(catalog_, "big", "b_key", 0, 9);
@@ -141,6 +163,55 @@ TEST_F(OptimizerTest, WhatIfGainMatchesCostDifference) {
   ASSERT_EQ(gains.size(), 1u);
   EXPECT_EQ(gains[0].index, b_key_);
   EXPECT_NEAR(gains[0].gain, base - with_cost, 1e-9);
+
+  // Two-table join. Probing an index on one table leaves the other
+  // table's access path unchanged, which is the shape whose access paths
+  // could be shared between the base plan and a probe.
+  const IndexId s_val = catalog_.IndexOn(Ref(catalog_, "small", "s_val"))->id;
+  const std::vector<IndexId> two_table = {b_key_, b_val_, s_ref_, s_val};
+  for (const Query& join : {JoinQuery(0, 0), JoinQuery(0, 10)}) {
+    ExpectGainsMatchSeparateOptimizes(&optimizer_, join, {}, two_table);
+    IndexConfiguration materialized;
+    materialized.Add(b_key_);
+    materialized.Add(s_val);
+    ExpectGainsMatchSeparateOptimizes(&optimizer_, join, materialized,
+                                      two_table);
+  }
+
+  // Three-table chain join, big - mid - small, with a selection on every
+  // table.
+  Catalog catalog = MakeTestCatalog();
+  catalog.AddTable(TableSchema(
+      "mid",
+      {
+          {"m_id", ColumnType::kInt64, 8, 5'000, true},
+          {"m_ref", ColumnType::kInt64, 8, 1'000, true},
+          {"m_val", ColumnType::kInt64, 8, 500, true},
+      },
+      5'000));
+  QueryOptimizer optimizer(&catalog);
+  const Query chain(
+      {0, 1, 2},
+      {JoinPredicate{Ref(catalog, "big", "b_key"), Ref(catalog, "mid", "m_id")},
+       JoinPredicate{Ref(catalog, "mid", "m_ref"),
+                     Ref(catalog, "small", "s_ref")}},
+      {SelectionPredicate{Ref(catalog, "big", "b_val"), 0, 49},
+       SelectionPredicate{Ref(catalog, "mid", "m_val"), 0, 4},
+       SelectionPredicate{Ref(catalog, "small", "s_val"), 0, 0}});
+  std::vector<IndexId> three_table;
+  for (const auto& [table, column] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"big", "b_key"}, {"big", "b_val"}, {"mid", "m_id"},
+           {"mid", "m_ref"}, {"mid", "m_val"}, {"small", "s_ref"},
+           {"small", "s_val"}}) {
+    three_table.push_back(catalog.IndexOn(Ref(catalog, table, column))->id);
+  }
+  ExpectGainsMatchSeparateOptimizes(&optimizer, chain, {}, three_table);
+  IndexConfiguration materialized;
+  materialized.Add(three_table[2]);  // mid.m_id
+  materialized.Add(three_table[6]);  // small.s_val
+  ExpectGainsMatchSeparateOptimizes(&optimizer, chain, materialized,
+                                    three_table);
 }
 
 TEST_F(OptimizerTest, WhatIfOnMaterializedIndexIsRemovalGain) {
@@ -168,19 +239,20 @@ TEST_F(OptimizerTest, WhatIfGainNonNegativeForUnmaterialized) {
 }
 
 TEST_F(OptimizerTest, WhatIfCountsCalls) {
-  optimizer_.ResetStats();
+  MetricsRegistry& registry = MetricsRegistry::Default();
+  const bool was_enabled = registry.enabled();
+  registry.Reset();
+  registry.set_enabled(true);
   const Query q = MakeRangeQuery(catalog_, "big", "b_key", 0, 9);
   ColtIgnoreStatus(optimizer_.WhatIfOptimize(q, {}, {b_key_, b_val_, s_ref_}));
-  EXPECT_EQ(optimizer_.stats().whatif_calls, 3);
-  EXPECT_EQ(optimizer_.stats().optimize_calls, 1);
-}
-
-TEST_F(OptimizerTest, WhatIfReusesSubplans) {
-  optimizer_.ResetStats();
-  const Query q = JoinQuery(0, 10);
-  // Probing an index on "big" should reuse the access path for "small".
-  ColtIgnoreStatus(optimizer_.WhatIfOptimize(q, {}, {b_key_, b_val_}));
-  EXPECT_GT(optimizer_.stats().subplan_reuses, 0);
+  const int64_t probes =
+      registry.GetCounter("optimizer.whatif.probes")->value();
+  const int64_t optimize_calls =
+      registry.GetCounter("optimizer.optimize.calls")->value();
+  registry.Reset();
+  registry.set_enabled(was_enabled);
+  EXPECT_EQ(probes, 3);
+  EXPECT_EQ(optimize_calls, 1);
 }
 
 TEST_F(OptimizerTest, CrudeGainNonNegativeAndZeroForMismatch) {

@@ -2,9 +2,13 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "optimizer/optimizer.h"
+#include "storage/tpch_schema.h"
 #include "test_util.h"
 
 namespace colt {
@@ -12,6 +16,16 @@ namespace {
 
 using ::colt::testing::MakeTestCatalog;
 using ::colt::testing::Ref;
+
+/// `SELECT COUNT(*) FROM` the catalog's first `n` tables.
+std::string CountOverFirstTables(const Catalog& catalog, int n) {
+  std::string sql = "SELECT COUNT(*) FROM ";
+  for (TableId t = 0; t < n; ++t) {
+    if (t > 0) sql += ", ";
+    sql += catalog.table(t).name();
+  }
+  return sql;
+}
 
 class ParserTest : public ::testing::Test {
  protected:
@@ -342,6 +356,37 @@ TEST_F(ParserTest, DuplicateFromTableRejected) {
     EXPECT_NE(q.status().message().find("appears twice"), std::string::npos)
         << sql;
   }
+}
+
+TEST(ParserTableBound, SixteenTablesParseAndPlan) {
+  const Catalog catalog = MakeTpchCatalog();
+  ASSERT_GE(catalog.table_count(), 17);
+  QueryParser parser(&catalog);
+  auto q = parser.Parse(CountOverFirstTables(catalog, 16));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q->tables().size(), kMaxQueryTables);
+  QueryOptimizer optimizer(&catalog);
+  const PlanResult plan = optimizer.Optimize(*q, {});
+  ASSERT_NE(plan.plan, nullptr);
+  EXPECT_GT(plan.cost, 0.0);
+}
+
+TEST(ParserTableBound, SeventeenTablesRejected) {
+  // The optimizer's join search used to abort the process on a parsed
+  // statement over more than 16 tables.
+  const Catalog catalog = MakeTpchCatalog();
+  QueryParser parser(&catalog);
+  auto parsed = parser.Parse(CountOverFirstTables(catalog, 17));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("at most 16"), std::string::npos)
+      << parsed.status().ToString();
+
+  std::vector<TableId> tables;
+  for (TableId t = 0; t < 17; ++t) tables.push_back(t);
+  const Query built(std::move(tables), {}, {});
+  const Status status = built.Validate(catalog);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

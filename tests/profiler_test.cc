@@ -20,7 +20,7 @@ class ProfilerTest : public ::testing::Test {
         clusters_(&catalog_, config_.history_depth),
         hot_stats_(config_.confidence),
         mat_stats_(config_.confidence),
-        candidates_(config_.history_depth, config_.crude_smoothing_alpha),
+        candidates_(config_.history_depth, kCrudeSmoothingAlpha),
         profiler_(&catalog_, &optimizer_, &clusters_, &hot_stats_,
                   &mat_stats_, &candidates_, &config_, /*seed=*/3) {
     b_key_ = catalog_.IndexOn(Ref(catalog_, "big", "b_key"))->id;
@@ -131,7 +131,7 @@ TEST_F(ProfilerTest, WellMeasuredZeroVariancePairsSampleAtFloor) {
   for (int i = 0; i < 10; ++i) hot_stats_.Record(b_key_, cluster, 50.0, sig);
   EXPECT_DOUBLE_EQ(profiler_.ErrorContribution(b_key_, cluster, {}), 0.0);
   EXPECT_DOUBLE_EQ(profiler_.SampleRate(b_key_, cluster, {}, 10.0),
-                   config_.min_sample_rate);
+                   kMinSampleRate);
 }
 
 TEST_F(ProfilerTest, HighVariancePairsSampleMore) {

@@ -19,7 +19,7 @@ class SelfOrganizerTest : public ::testing::Test {
         clusters_(&catalog_, config_.history_depth),
         hot_stats_(config_.confidence),
         mat_stats_(config_.confidence),
-        candidates_(config_.history_depth, config_.crude_smoothing_alpha),
+        candidates_(config_.history_depth, kCrudeSmoothingAlpha),
         forecaster_(config_.history_depth),
         profiler_(&catalog_, &optimizer_, &clusters_, &hot_stats_,
                   &mat_stats_, &candidates_, &config_, 3),
@@ -211,7 +211,7 @@ TEST_F(SelfOrganizerTest, RebudgetMaximizesOnColdStartPotential) {
   candidates_.Observe(b_key_, 10'000.0, 0);
   const auto outcome = organizer_.RunEpochEnd({}, {});
   EXPECT_EQ(outcome.next_whatif_limit, config_.max_whatif_per_epoch);
-  EXPECT_GT(outcome.rebudget_ratio, config_.rebudget_high);
+  EXPECT_GT(outcome.rebudget_ratio, kRebudgetHigh);
 }
 
 TEST_F(SelfOrganizerTest, RebudgetDisabledPinsToMax) {

@@ -1,6 +1,7 @@
 #include "query/trace.h"
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -131,6 +132,22 @@ TEST(Trace, MalformedLineReportsLineNumber) {
   auto loaded = LoadWorkloadTrace(catalog, stream);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("line 3"), std::string::npos);
+}
+
+TEST(Trace, SeventeenTableLineRejected) {
+  const Catalog catalog = MakeTpchCatalog();
+  std::string line = "SELECT COUNT(*) FROM ";
+  for (TableId t = 0; t < 17; ++t) {
+    if (t > 0) line += ", ";
+    line += catalog.table(t).name();
+  }
+  std::stringstream stream("SELECT COUNT(*) FROM " + catalog.table(0).name() +
+                           ";\n" + line + ";\n");
+  auto loaded = LoadWorkloadTrace(catalog, stream);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(Trace, AssignsSequentialIds) {
