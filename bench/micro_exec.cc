@@ -82,8 +82,8 @@ void BM_ExecBitmapScan(benchmark::State& state) {
   Fixture& f = GetFixture();
   QueryOptimizer optimizer(&f.db.catalog());
   Executor executor(&f.db);
-  // Mid selectivity (the BM_ExecSeqScan range): index TIDs, sorted, then
-  // one heap visit per distinct page.
+  // Mid selectivity (the BM_ExecSeqScan range): index TIDs, put in row
+  // order through a bitmap, then one heap visit per distinct page.
   Query q({f.li}, {},
           {SelectionPredicate{{f.li, f.shipdate}, 100, 160}});
   IndexConfiguration config;
@@ -110,6 +110,8 @@ void BM_ExecHashJoin(benchmark::State& state) {
   const ColumnId odate = f.db.catalog().table(od).FindColumn("o_orderdate");
   const ColumnId lokey =
       f.db.catalog().table(f.li).FindColumn("l_orderkey");
+  // The p1_od_li_join shape: a filtered orders build side, probed by the
+  // unfiltered lineitem scan, which streams through the probe.
   Query q({od, f.li}, {JoinPredicate{{od, okey}, {f.li, lokey}}},
           {SelectionPredicate{{od, odate}, 0, 30}});
   const PlanResult plan = optimizer.Optimize(q, {});
@@ -123,7 +125,8 @@ BENCHMARK(BM_ExecHashJoin);
 
 // The hash join's worst case: every probe matches, so the bit filter in
 // front of the slots passes every probe and only adds work. No shipped
-// join template has this shape; each one filters its build side.
+// join template has this shape; each one filters its build side. Both
+// inputs are unfiltered scans, so the larger, lineitem, streams.
 void BM_ExecHashJoinAllMatch(benchmark::State& state) {
   Fixture& f = GetFixture();
   Executor executor(&f.db);

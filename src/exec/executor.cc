@@ -5,6 +5,7 @@
 // the indexed lookup is not a dynamic name.
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <span>
 #include <utility>
@@ -112,11 +113,15 @@ class JoinHashTable {
     }
   }
 
-  /// The slot holding `key`, or null when no build tuple has it.
+  /// The slot holding `key`, or null when no build tuple has it. A filter
+  /// miss is laid out as the fall-through path, so a probe loop takes one
+  /// branch per miss: its back edge.
   const Slot* Find(int64_t key) const {
     const uint64_t hash = Hash(key);
     const uint64_t bit = hash >> filter_shift_;
-    if (((filter_[bit / 64] >> (bit % 64)) & 1) == 0) return nullptr;
+    if (((filter_[bit / 64] >> (bit % 64)) & 1) == 0) [[likely]] {
+      return nullptr;
+    }
     for (size_t s = static_cast<size_t>(hash >> shift_);; s = (s + 1) & mask_) {
       const Slot& slot = slots_[s];
       if (slot.head < 0) return nullptr;
@@ -187,6 +192,20 @@ struct Executor::Relation {
     return -1;
   }
 
+  /// This relation's values of `j`'s join column: the predicate's left
+  /// column when the relation binds that table, else its right column.
+  Result<KeyColumn> JoinKeys(const Database& db,
+                             const JoinPredicate& j) const {
+    for (const ColumnRef& col : {j.left, j.right}) {
+      const int k = ColumnOf(col.table);
+      if (k >= 0) {
+        return KeyColumn{db.data(col.table).column(col.column).data(),
+                         rows[static_cast<size_t>(k)].data()};
+      }
+    }
+    return Status::Internal("hash join input missing join binding");
+  }
+
   /// Appends tuple `i` of `src` to the columns from `first` on (the caller
   /// completes the tuple and bumps `size`).
   void AppendFrom(const Relation& src, int64_t i, size_t first) {
@@ -242,6 +261,37 @@ Executor::Executor(const Database* db, MetricsRegistry* registry) : db_(db) {
   }
   op_invocations_ = reg.GetCounter("exec.operator.invocations");
   execute_seconds_ = reg.GetHistogram("exec.execute.seconds");
+}
+
+Status Executor::OrderThroughBitmap(TableId table, std::vector<RowId>* rows) {
+  if (rows->empty()) return Status::OK();
+  const auto [min_it, max_it] = std::minmax_element(rows->begin(), rows->end());
+  const RowId lo = *min_it;
+  const RowId hi = *max_it;
+  const int64_t row_count = db_->data(table).row_count();
+  if (lo < 0 || hi >= row_count) {
+    return Status::Internal("bitmap scan: TID outside its table");
+  }
+  const size_t words = static_cast<size_t>((row_count + 63) / 64);
+  if (tid_bitmap_.size() < words) tid_bitmap_.resize(words);
+  uint64_t* bits = tid_bitmap_.data();
+  for (const RowId r : *rows) {
+    const uint64_t tid = static_cast<uint64_t>(r);
+    bits[tid / 64] |= uint64_t{1} << (tid % 64);
+  }
+  // Read the set bits back in ascending order, clearing each word: the
+  // words between the lowest and the highest TID are the only ones set.
+  // A repeated TID sets one bit, so fewer TIDs come back than went in.
+  size_t n = 0;
+  for (size_t w = static_cast<size_t>(lo / 64);
+       w <= static_cast<size_t>(hi / 64); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      (*rows)[n++] = static_cast<RowId>(w * 64) + std::countr_zero(word);
+    }
+    bits[w] = 0;
+  }
+  if (n != rows->size()) return Status::Internal("bitmap scan: repeated TID");
+  return Status::OK();
 }
 
 int64_t Executor::DistinctHeapPages(TableId table,
@@ -321,7 +371,7 @@ Result<Executor::Relation> Executor::Run(const PlanNode& node,
       if (node.type == PlanNodeType::kBitmapScan) {
         // The bitmap step: visit the heap in physical order, each page
         // once.
-        std::sort(rows.begin(), rows.end());
+        COLT_RETURN_IF_ERROR(OrderThroughBitmap(node.table, &rows));
         acc->pages_bitmap += DistinctHeapPages(node.table, rows);
       } else {
         acc->pages_random += DistinctHeapPages(node.table, rows);
@@ -332,50 +382,8 @@ Result<Executor::Relation> Executor::Run(const PlanNode& node,
       }
       return Relation::Of(node.table, std::move(rows));
     }
-    case PlanNodeType::kHashJoin: {
-      COLT_ASSIGN_OR_RETURN(Relation left, Run(*node.left, false, acc));
-      COLT_ASSIGN_OR_RETURN(Relation right, Run(*node.right, false, acc));
-      // Build on the smaller side.
-      const bool build_left = left.size <= right.size;
-      const Relation& build = build_left ? left : right;
-      const Relation& probe = build_left ? right : left;
-      acc->tuples_processed += build.size + probe.size;
-      Relation out = Relation::Concat(probe.tables, build.tables);
-      if (build.size == 0 || probe.size == 0) return out;
-      // A side's key is the predicate's left column when the side binds
-      // that table, else its right column.
-      const JoinPredicate& j = node.join_predicate;
-      auto keys_of = [&](const Relation& side) -> Result<KeyColumn> {
-        for (const ColumnRef& col : {j.left, j.right}) {
-          const int k = side.ColumnOf(col.table);
-          if (k >= 0) {
-            return KeyColumn{db_->data(col.table).column(col.column).data(),
-                             side.rows[static_cast<size_t>(k)].data()};
-          }
-        }
-        return Status::Internal("hash join input missing join binding");
-      };
-      COLT_ASSIGN_OR_RETURN(const KeyColumn build_keys, keys_of(build));
-      COLT_ASSIGN_OR_RETURN(const KeyColumn probe_keys, keys_of(probe));
-      const JoinHashTable table(build_keys, build.size);
-      if (count_only) {
-        for (int64_t i = 0; i < probe.size; ++i) {
-          const JoinHashTable::Slot* slot = table.Find(probe_keys.at(i));
-          if (slot != nullptr) out.size += slot->count;
-        }
-        return out;
-      }
-      for (int64_t i = 0; i < probe.size; ++i) {
-        const JoinHashTable::Slot* slot = table.Find(probe_keys.at(i));
-        if (slot == nullptr) continue;
-        for (int64_t b = slot->head; b >= 0; b = table.next(b)) {
-          out.AppendFrom(probe, i, 0);
-          out.AppendFrom(build, b, probe.tables.size());
-          ++out.size;
-        }
-      }
-      return out;
-    }
+    case PlanNodeType::kHashJoin:
+      return HashJoin(node, count_only, acc);
     case PlanNodeType::kNestLoopJoin: {
       COLT_ASSIGN_OR_RETURN(Relation outer, Run(*node.left, false, acc));
       COLT_ASSIGN_OR_RETURN(Relation inner, Run(*node.right, false, acc));
@@ -453,6 +461,103 @@ Result<Executor::Relation> Executor::Run(const PlanNode& node,
     }
   }
   return Status::Internal("unknown plan node type");
+}
+
+Result<Executor::Relation> Executor::HashJoin(const PlanNode& node,
+                                              bool count_only,
+                                              ExecutionResult* acc) {
+  // At a counting root an unfiltered scan input waits, since its size is
+  // live_row_count() before it runs. As the probe side it is then streamed
+  // through the probe; as the build side it runs after the other input.
+  // Either way the left input runs, or reports its error, first.
+  const PlanNode* inputs[2] = {node.left.get(), node.right.get()};
+  std::optional<int64_t> waiting[2];
+  Relation in[2];
+  for (size_t s = 0; s < 2; ++s) {
+    const PlanNode& input = *inputs[s];
+    if (count_only && input.type == PlanNodeType::kSeqScan &&
+        input.filter_predicates.empty() && db_->HasData(input.table)) {
+      waiting[s] = db_->data(input.table).live_row_count();
+    } else {
+      COLT_ASSIGN_OR_RETURN(in[s], Run(input, false, acc));
+    }
+  }
+  // Build on the smaller side.
+  const size_t build_side =
+      waiting[0].value_or(in[0].size) <= waiting[1].value_or(in[1].size) ? 0
+                                                                        : 1;
+  const size_t probe_side = 1 - build_side;
+  if (waiting[build_side].has_value()) {
+    COLT_ASSIGN_OR_RETURN(in[build_side],
+                          Run(*inputs[build_side], false, acc));
+  }
+  const Relation& build = in[build_side];
+  if (waiting[probe_side].has_value()) {
+    return CountStreamedProbe(node, *inputs[probe_side], build, acc);
+  }
+  const Relation& probe = in[probe_side];
+  acc->tuples_processed += build.size + probe.size;
+  Relation out = Relation::Concat(probe.tables, build.tables);
+  if (build.size == 0 || probe.size == 0) return out;
+  const JoinPredicate& j = node.join_predicate;
+  COLT_ASSIGN_OR_RETURN(const KeyColumn build_keys, build.JoinKeys(*db_, j));
+  COLT_ASSIGN_OR_RETURN(const KeyColumn probe_keys, probe.JoinKeys(*db_, j));
+  const JoinHashTable table(build_keys, build.size);
+  if (count_only) {
+    for (int64_t i = 0; i < probe.size; ++i) {
+      const JoinHashTable::Slot* slot = table.Find(probe_keys.at(i));
+      if (slot != nullptr) out.size += slot->count;
+    }
+    return out;
+  }
+  for (int64_t i = 0; i < probe.size; ++i) {
+    const JoinHashTable::Slot* slot = table.Find(probe_keys.at(i));
+    if (slot == nullptr) continue;
+    for (int64_t b = slot->head; b >= 0; b = table.next(b)) {
+      out.AppendFrom(probe, i, 0);
+      out.AppendFrom(build, b, probe.tables.size());
+      ++out.size;
+    }
+  }
+  return out;
+}
+
+Result<Executor::Relation> Executor::CountStreamedProbe(
+    const PlanNode& join, const PlanNode& scan, const Relation& build,
+    ExecutionResult* acc) {
+  const TableData& data = db_->data(scan.table);
+  const int64_t live_rows = data.live_row_count();
+  {
+    // The scan node: what ScanTable charges, one invocation and one
+    // sample of its own time. The loop below is the join's time.
+    op_invocations_->Increment();
+    OperatorTimer scan_timer(
+        this, op_seconds_[static_cast<size_t>(PlanNodeType::kSeqScan)]);
+    acc->pages_seq += db_->catalog().table(scan.table).heap_pages();
+    acc->tuples_processed += live_rows;
+  }
+  acc->tuples_processed += build.size + live_rows;
+  Relation out = Relation::Concat({scan.table}, build.tables);
+  if (build.size == 0 || live_rows == 0) return out;
+  // The scan binds one table, so its key is the predicate's column on it.
+  const JoinPredicate& j = join.join_predicate;
+  COLT_ASSIGN_OR_RETURN(const KeyColumn build_keys, build.JoinKeys(*db_, j));
+  const ColumnRef* probe_col = j.left.table == scan.table    ? &j.left
+                               : j.right.table == scan.table ? &j.right
+                                                             : nullptr;
+  if (probe_col == nullptr) {
+    return Status::Internal("hash join input missing join binding");
+  }
+  const JoinHashTable table(build_keys, build.size);
+  const int64_t* values = data.column(probe_col->column).data();
+  // Liveness is checked only on a match, since most rows miss.
+  int64_t matches = 0;
+  for (RowId r = 0, n = data.row_count(); r < n; ++r) {
+    const JoinHashTable::Slot* slot = table.Find(values[r]);
+    if (slot != nullptr && data.live(r)) matches += slot->count;
+  }
+  out.size = matches;
+  return out;
 }
 
 Result<ExecutionResult> Executor::Execute(const PlanNode& plan) {

@@ -121,11 +121,28 @@ class Executor {
   Result<Relation> Run(const PlanNode& node, bool count_only,
                        ExecutionResult* acc);
 
+  /// The hash join at `node` (Run's kHashJoin case). A counting join whose
+  /// probe side is an unfiltered sequential scan streams that scan through
+  /// the probe instead of materializing it (DESIGN.md §17).
+  Result<Relation> HashJoin(const PlanNode& node, bool count_only,
+                            ExecutionResult* acc);
+
+  /// Counts the matches of every live row of the unfiltered scan at `scan`
+  /// against `build`, charging the scan as ScanTable would.
+  Result<Relation> CountStreamedProbe(const PlanNode& join,
+                                      const PlanNode& scan,
+                                      const Relation& build,
+                                      ExecutionResult* acc);
+
   /// Live rows of `table` that pass every predicate, in row order, charged
   /// as a full sequential scan.
   std::vector<RowId> ScanTable(TableId table,
                                const std::vector<SelectionPredicate>& preds,
                                ExecutionResult* acc) const;
+
+  /// Puts `rows`, distinct TIDs of `table`, in ascending order through
+  /// tid_bitmap_. Internal if a TID repeats or lies outside the table.
+  Status OrderThroughBitmap(TableId table, std::vector<RowId>* rows);
 
   /// Distinct heap pages containing `rows` of `table`.
   int64_t DistinctHeapPages(TableId table, const std::vector<RowId>& rows);
@@ -141,6 +158,9 @@ class Executor {
   OperatorTimer* running_op_ = nullptr;
   /// Sort buffer for DistinctHeapPages over unsorted row ids.
   std::vector<RowId> page_scratch_;
+  /// One bit per row for a bitmap scan's TIDs, grown to the largest table
+  /// scanned so far; all zero between calls.
+  std::vector<uint64_t> tid_bitmap_;
 
   /// Per-operator wall-clock histograms, indexed by PlanNodeType. Each
   /// records the operator's exclusive (self) time, so per query they sum

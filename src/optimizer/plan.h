@@ -14,9 +14,10 @@ namespace colt {
 enum class PlanNodeType {
   kSeqScan,
   kIndexScan,
-  /// Bitmap heap scan: collect matching TIDs from the index, sort them,
-  /// then fetch heap pages in physical order (each distinct page once,
-  /// near-sequentially). The standard mid-selectivity access path.
+  /// Bitmap heap scan: collect matching TIDs from the index, put them in
+  /// physical order through a TID bitmap, then fetch heap pages in that
+  /// order (each distinct page once, near-sequentially). The standard
+  /// mid-selectivity access path.
   kBitmapScan,
   kNestLoopJoin,
   kIndexNLJoin,

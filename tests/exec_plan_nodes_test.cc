@@ -286,6 +286,90 @@ TEST_F(PlanNodeExecTest, SeqScanOnUnmaterializedTableFails) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST_F(PlanNodeExecTest, CountingJoinOverUnmaterializedScanFails) {
+  // As for a bare scan: a counting hash join whose unfiltered input has no
+  // data reports the scan's error, on either side, and does not stream it.
+  Database partial(MakeTinyCatalog(), 5);
+  const TableId left = partial.catalog().FindTable("left");
+  ASSERT_TRUE(partial.MaterializeTable(left).ok());
+  Executor executor(&partial);
+  for (const bool bare_on_left : {true, false}) {
+    auto bare = SeqScan("right", {});
+    auto other = SeqScan("left", {{left_val_, 0, 4}});
+    PlanNode join;
+    join.type = PlanNodeType::kHashJoin;
+    join.join_predicate = JoinPredicate{left_key_, right_ref_};
+    join.left = bare_on_left ? std::move(bare) : std::move(other);
+    join.right = bare_on_left ? std::move(other) : std::move(bare);
+    EXPECT_EQ(executor.Execute(join).status().code(),
+              StatusCode::kFailedPrecondition)
+        << "unfiltered input on the " << (bare_on_left ? "left" : "right");
+  }
+}
+
+TEST_F(PlanNodeExecTest, BitmapScansMatchIndexScansOnRaggedTables) {
+  // Neither table's row count is a multiple of 64, so the last word of the
+  // TID bitmap is partly used, and the last row of `left` alone has l_key
+  // 99. One executor alternates between the two tables, so a bit left set
+  // by one scan would show up in the next.
+  const TableId left = db_.catalog().FindTable("left");
+  const TableId probe = db_.catalog().FindTable("probe");
+  const ColumnRef probe_val = Ref(db_.catalog(), "probe", "p_val");
+  const TableData& data = db_.data(left);
+  ASSERT_NE(data.row_count() % 64, 0);
+  ASSERT_NE(db_.data(probe).row_count() % 64, 0);
+  const RowId last = data.row_count() - 1;
+  ASSERT_TRUE(db_.UpdateRows(left, {last}, {{left_key_.column, 99}}).ok());
+  const IndexId key_index = db_.mutable_catalog().IndexOn(left_key_)->id;
+  const IndexId val_index = db_.mutable_catalog().IndexOn(probe_val)->id;
+  ASSERT_TRUE(db_.BuildIndex(key_index).ok());
+  ASSERT_TRUE(db_.BuildIndex(val_index).ok());
+  auto scan = [](PlanNodeType type, TableId table, IndexId index,
+                 SelectionPredicate pred) {
+    PlanNode node;
+    node.type = type;
+    node.table = table;
+    node.index_id = index;
+    node.index_predicate = pred;
+    return node;
+  };
+  const std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {99, 99},                // the last row only
+      {10, 99},                // up to and including the last row
+      {INT64_MIN, INT64_MAX},  // every row
+      {0, 0},
+      {5, 4},                  // lo > hi: empty
+      {INT64_MAX, INT64_MIN},  // lo > hi at the extremes
+  };
+  Executor executor(&db_);
+  for (const auto& [lo, hi] : ranges) {
+    const SelectionPredicate pred{left_key_, lo, hi};
+    const std::string context =
+        "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    int64_t expected = 0;
+    for (RowId r = 0; r < data.row_count(); ++r) {
+      if (pred.Matches(data.value(left_key_.column, r))) ++expected;
+    }
+    auto bitmap = executor.Execute(
+        scan(PlanNodeType::kBitmapScan, left, key_index, pred));
+    auto index = executor.Execute(
+        scan(PlanNodeType::kIndexScan, left, key_index, pred));
+    ASSERT_TRUE(bitmap.ok()) << context << ": " << bitmap.status().ToString();
+    ASSERT_TRUE(index.ok()) << context;
+    EXPECT_EQ(bitmap->output_rows, expected) << context;
+    EXPECT_EQ(bitmap->pages_bitmap, index->pages_random) << context;
+    EXPECT_EQ(bitmap->pages_bitmap > 0, expected > 0) << context;
+    // The larger table in between reuses the same bitmap.
+    const SelectionPredicate vals{probe_val, 0, 1};
+    auto other = executor.Execute(
+        scan(PlanNodeType::kBitmapScan, probe, val_index, vals));
+    auto other_seq = executor.Execute(*SeqScan("probe", {vals}));
+    ASSERT_TRUE(other.ok()) << context << ": " << other.status().ToString();
+    ASSERT_TRUE(other_seq.ok()) << context;
+    EXPECT_EQ(other->output_rows, other_seq->output_rows) << context;
+  }
+}
+
 TEST_F(PlanNodeExecTest, IndexScanRespectsResidualFilters) {
   // Build an index on left.l_key and scan [0, 4] with residual l_val = 0.
   auto desc = db_.mutable_catalog().IndexOn(left_key_);

@@ -7,15 +7,17 @@
 /// the trace's writes to it, so the two stay equal only if every UPDATE
 /// and DELETE locates the same rows in the same order. HtapPhases writes
 /// are all INSERTs, so the hot-spot UPDATE/DELETE mix (HotSpotWrites)
-/// runs before the shifting trace and leaves tombstones for its reads. Every read runs under the
-/// empty and the full index configuration; every two-table join also runs
-/// as hand-built NestLoopJoin and IndexNLJoin plans, and every single-table
-/// read as a hand-built IndexScan.
+/// runs before the shifting trace and leaves tombstones for its reads.
+/// Every read runs under the empty and the full index configuration; every
+/// two-table join also runs as hand-built NestLoopJoin and IndexNLJoin
+/// plans and as counting hash joins with an unfiltered input, and every
+/// single-table read as a hand-built IndexScan.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/executor.h"
@@ -138,6 +140,67 @@ class FlatExecutorDifferential : public ::testing::Test {
       inlj.filter_predicates = q.SelectionsOn(inner.table);
       ExpectSameRead(inlj, context + " index-nl");
     }
+    // Counting hash joins with one input unfiltered, first on the left and
+    // then on the right: it streams when it is the larger input and is
+    // built on otherwise. A join whose other input is unfiltered too runs
+    // once per join predicate in RunUnfilteredHashJoins.
+    for (const bool bare_left_table : {true, false}) {
+      const TableId bare = bare_left_table ? j.left.table : j.right.table;
+      const TableId other = bare_left_table ? j.right.table : j.left.table;
+      if (q.SelectionsOn(other).empty()) continue;
+      for (const bool bare_on_left : {true, false}) {
+        auto bare_scan = SeqScan(bare, {});
+        auto other_scan = SeqScan(other, q.SelectionsOn(other));
+        PlanNode hj;
+        hj.type = PlanNodeType::kHashJoin;
+        hj.join_predicate = j;
+        hj.left = bare_on_left ? std::move(bare_scan) : std::move(other_scan);
+        hj.right = bare_on_left ? std::move(other_scan) : std::move(bare_scan);
+        ExpectSameRead(hj, context + " hash, unfiltered " +
+                               flat_db_.catalog().table(bare).name() +
+                               (bare_on_left ? " left" : " right"));
+      }
+    }
+    unfiltered_joins_.insert({j.left, j.right});
+  }
+
+  /// Counting hash joins of two unfiltered scans, in both orders, for each
+  /// join predicate the trace used: the larger input streams, wherever it
+  /// sits. Then three joins of lineitem_0 with itself on l_comment, whose
+  /// inputs are equally large: unfiltered on the left and an all-pass
+  /// filter on the right, the reverse, and both unfiltered. A tie builds on
+  /// the left, so the unfiltered input is built on, streamed and streamed.
+  void RunUnfilteredHashJoins(const std::string& name) {
+    auto join = [](const JoinPredicate& on, std::unique_ptr<PlanNode> left,
+                   std::unique_ptr<PlanNode> right) {
+      PlanNode hj;
+      hj.type = PlanNodeType::kHashJoin;
+      hj.join_predicate = on;
+      hj.left = std::move(left);
+      hj.right = std::move(right);
+      return hj;
+    };
+    const Catalog& catalog = flat_db_.catalog();
+    for (const auto& [a, b] : unfiltered_joins_) {
+      const std::string context = name + " hash, unfiltered " +
+                                  catalog.table(a.table).name() + " and " +
+                                  catalog.table(b.table).name();
+      ExpectSameRead(join({a, b}, SeqScan(a.table, {}), SeqScan(b.table, {})),
+                     context);
+      ExpectSameRead(join({a, b}, SeqScan(b.table, {}), SeqScan(a.table, {})),
+                     context + ", swapped");
+    }
+    const TableId li = catalog.FindTable("lineitem_0");
+    const ColumnRef comment{li, catalog.table(li).FindColumn("l_comment")};
+    const JoinPredicate self{comment, comment};
+    const std::vector<SelectionPredicate> all_pass = {
+        {comment, INT64_MIN, INT64_MAX}};
+    ExpectSameRead(join(self, SeqScan(li, {}), SeqScan(li, all_pass)),
+                   name + " hash tie, unfiltered left");
+    ExpectSameRead(join(self, SeqScan(li, all_pass), SeqScan(li, {})),
+                   name + " hash tie, unfiltered right");
+    ExpectSameRead(join(self, SeqScan(li, {}), SeqScan(li, {})),
+                   name + " hash tie, both unfiltered");
   }
 
   void RunTrace(const std::vector<Query>& trace, const std::string& name) {
@@ -193,6 +256,8 @@ class FlatExecutorDifferential : public ::testing::Test {
   std::unique_ptr<ReferenceExecutor> ref_;
   IndexConfiguration none_;
   IndexConfiguration all_;
+  /// Join predicates of the two-table reads run so far, as (left, right).
+  std::set<std::pair<ColumnRef, ColumnRef>> unfiltered_joins_;
   int64_t reads_ = 0;
   int64_t writes_ = 0;
   int64_t node_types_[kPlanNodeTypes] = {};
@@ -227,6 +292,7 @@ TEST_F(FlatExecutorDifferential, MatchesRowAtATimeOnShiftingAndHtapTraces) {
   EXPECT_LT(li.live_row_count(), li.row_count())
       << "no tombstones: the reads below would not cover them";
   RunTrace(fig4_trace, "fig4");
+  RunUnfilteredHashJoins("fig4");
 
   // Both databases applied the same writes to the same rows.
   for (TableId t = 0; t < flat_db_.catalog().table_count(); ++t) {
