@@ -14,23 +14,6 @@
 namespace colt {
 namespace {
 
-void BM_BTreeInsert(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(42);
-  std::vector<std::pair<int64_t, RowId>> entries;
-  entries.reserve(n);
-  for (int64_t i = 0; i < n; ++i) {
-    entries.emplace_back(static_cast<int64_t>(rng.NextBelow(n)), i);
-  }
-  for (auto _ : state) {
-    BTreeIndex tree;
-    for (const auto& [k, v] : entries) tree.Insert(k, v);
-    benchmark::DoNotOptimize(tree.entry_count());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_BTreeInsert)->Arg(1000)->Arg(10000)->Arg(100000);
-
 /// n entries with row ids ascending and keys uniform over [0, span).
 std::vector<std::pair<int64_t, RowId>> BuildShapedEntries(int64_t n,
                                                           int64_t span) {
@@ -42,6 +25,47 @@ std::vector<std::pair<int64_t, RowId>> BuildShapedEntries(int64_t n,
   }
   return entries;
 }
+
+void BM_BTreeInsert(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const std::vector<std::pair<int64_t, RowId>> entries =
+      BuildShapedEntries(n, n);
+  for (auto _ : state) {
+    BTreeIndex tree;
+    for (const auto& [k, v] : entries) tree.Insert(k, v);
+    benchmark::DoNotOptimize(tree.entry_count());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_BTreeInsert)->Arg(1000)->Arg(10000)->Arg(100000);
+
+/// Erases every entry of a tree built by inserting BM_BTreeInsert's
+/// entries, in a seeded order: the index half of an UPDATE or DELETE.
+/// Building the tree and freeing the drained one are not timed.
+void BM_BTreeErase(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const std::vector<std::pair<int64_t, RowId>> entries =
+      BuildShapedEntries(n, n);
+  std::vector<std::pair<int64_t, RowId>> order = entries;
+  Rng shuffle(43);
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[shuffle.NextBelow(i)]);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto tree = std::make_unique<BTreeIndex>();
+    for (const auto& [k, v] : entries) tree->Insert(k, v);
+    state.ResumeTiming();
+    for (const auto& [k, v] : order) {
+      benchmark::DoNotOptimize(tree->Erase(k, v));
+    }
+    state.PauseTiming();
+    tree.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_BTreeErase)->Arg(10000)->Arg(100000);
 
 /// Bulk load of BuildShapedEntries(n, span). The span = n cases spread
 /// the keys; 300k entries over spans of 500, 25,000 and 75,000 match
@@ -134,10 +158,10 @@ const BTreeIndex& SharedMillionEntryTree() {
   return *tree;
 }
 
-/// Read-side OLC cost under contention: the same point lookup on 1 vs 8
-/// threads sharing one tree. With version-validated descents the 8-thread
-/// run should scale near-linearly on real hardware (single-core CI shows
-/// timesharing, not contention).
+/// Shared-tree reads: the same point lookup on 1 vs 8 threads reading one
+/// tree that nobody writes, as serve clients do. Readers share only
+/// cache lines, so on real hardware the 8-thread run should scale with
+/// the cores (single-core CI shows timesharing, not contention).
 void BM_BTreeContendedLookup(benchmark::State& state) {
   const BTreeIndex& tree = SharedMillionEntryTree();
   const int64_t n = 1'000'000;

@@ -44,8 +44,7 @@ class EpochPin;
 /// Reclamation runs only inside TryReclaim()/ReclaimAll(), which the
 /// owner thread calls at publish boundaries (Database install/drop), when
 /// the serve loop drops a segment's pin, and at teardown — readers never
-/// free, so the read path stays wait-free apart from the version-spin in
-/// the tree itself.
+/// free, so the read path is wait-free.
 class EpochManager {
  public:
   /// Pin state of one thread or one EpochPin. A thread claims a slot

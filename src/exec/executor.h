@@ -101,9 +101,9 @@ class Executor {
   /// UPDATE/DELETE WHERE clause (PlanResult::plan); when null the affected
   /// rows are located by a sequential scan. Owner thread only — writes
   /// mutate table data and built indexes in place. No read of `db` may be
-  /// in flight during a write: appends can reallocate the column vectors
-  /// and cell and tombstone stores are unsynchronised, so an overlapping
-  /// scan would race on the heap whatever the OLC trees allow.
+  /// in flight during a write: appends can reallocate the column vectors,
+  /// and cell, tombstone and tree stores are unsynchronised, so an
+  /// overlapping scan would race on both the heap and the trees.
   /// ServeWorkload's write fence guarantees this for served traces.
   COLT_OWNER_ONLY Result<ExecutionResult> ExecuteWrite(
       Database* db, const Query& q, const PlanNode* locate_plan);

@@ -8,72 +8,44 @@
 
 namespace colt {
 
-namespace {
-
-/// Spin-wait hint while a node is writer-locked (locks cover O(fanout)
-/// memory moves, so waits are short).
-inline void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#endif
-}
-
-constexpr uint64_t kLockBit = 1;
-/// Even = unlocked; writers hold the node while the low bit is set and
-/// bump the version by one generation (+2) on release.
-constexpr uint64_t kInitialVersion = 2;
-
-}  // namespace
-
-/// Node payload lives in arrays of atomic cells so that optimistic readers
-/// racing a locked writer perform no data race in the language sense: a
-/// reader may observe a half-updated node, but every load is tear-free and
-/// the version re-validation discards inconsistent snapshots. Capacities
-/// are fixed at construction (keys/values: fanout; children: fanout + 1),
-/// and `count` never exceeds them even mid-write, so any count a reader
-/// observes keeps its indexing in bounds. A node and its cell arrays are
-/// one heap block: Make allocates it and Free releases it.
+/// Capacities are fixed at construction (keys and values: fanout;
+/// children: fanout + 1). A node and its arrays are one heap block: Make
+/// allocates it and Free releases it.
 struct BTreeIndex::Node {
-  std::atomic<uint64_t> version;
   const bool is_leaf;
-  std::atomic<int32_t> count{0};
-  std::atomic<int64_t>* keys = nullptr;
+  int32_t count = 0;
+  int64_t* keys = nullptr;
   // Leaf: values[i] corresponds to keys[i].
-  std::atomic<RowId>* values = nullptr;
+  RowId* values = nullptr;
   // Internal: count + 1 live children; subtree children[i] holds keys <
   // keys[i]; children[i+1] holds keys >= keys[i].
-  std::atomic<Node*>* children = nullptr;
-  std::atomic<Node*> next_leaf{nullptr};
+  Node** children = nullptr;
+  Node* next_leaf = nullptr;
 
-  Node(bool leaf, uint64_t initial_version)
-      : version(initial_version), is_leaf(leaf) {}
+  explicit Node(bool leaf) : is_leaf(leaf) {}
 
-  static Node* Make(bool leaf, int32_t fanout, uint64_t initial_version) {
+  static Node* Make(bool leaf, int32_t fanout) {
     // Every cell is 8 bytes and 8-aligned, and so is the header's size,
     // so the arrays follow the header back to back.
-    static_assert(sizeof(Node) % alignof(std::atomic<int64_t>) == 0);
-    static_assert(sizeof(std::atomic<RowId>) == sizeof(std::atomic<int64_t>));
-    static_assert(sizeof(std::atomic<Node*>) == sizeof(std::atomic<int64_t>));
+    static_assert(sizeof(Node) % alignof(int64_t) == 0);
+    static_assert(sizeof(Node*) == sizeof(int64_t));
     const size_t f = static_cast<size_t>(fanout);
     const size_t cells = f + (leaf ? f : f + 1);
     unsigned char* block = static_cast<unsigned char*>(
-        ::operator new(sizeof(Node) + cells * sizeof(std::atomic<int64_t>)));
-    Node* node = ::new (block) Node(leaf, initial_version);
+        ::operator new(sizeof(Node) + cells * sizeof(int64_t)));
+    Node* node = ::new (block) Node(leaf);
     unsigned char* payload = block + sizeof(Node);
-    // Value-initialized: every cell starts at zero.
-    node->keys = ::new (payload) std::atomic<int64_t>[f]();
-    payload += f * sizeof(std::atomic<int64_t>);
+    node->keys = ::new (payload) int64_t[f];
+    payload += f * sizeof(int64_t);
     if (leaf) {
-      node->values = ::new (payload) std::atomic<RowId>[f]();
+      node->values = ::new (payload) RowId[f];
     } else {
-      node->children = ::new (payload) std::atomic<Node*>[f + 1]();
+      node->children = ::new (payload) Node*[f + 1];
     }
     return node;
   }
 
-  /// The cells are trivially destructible, so only the header's
+  /// The arrays are trivially destructible, so only the header's
   /// destructor runs.
   static void Free(Node* node) {
     node->~Node();
@@ -83,31 +55,23 @@ struct BTreeIndex::Node {
 
 BTreeIndex::BTreeIndex(int32_t fanout) : fanout_(std::max(4, fanout)) {}
 
-BTreeIndex::~BTreeIndex() { FreeTree(root_.load(std::memory_order_acquire)); }
+BTreeIndex::~BTreeIndex() { FreeTree(root_); }
 
 BTreeIndex::BTreeIndex(BTreeIndex&& other) noexcept
-    : root_(other.root_.exchange(nullptr, std::memory_order_acq_rel)),
+    : root_(std::exchange(other.root_, nullptr)),
       fanout_(other.fanout_),
-      entry_count_(other.entry_count_.exchange(0)),
-      leaf_count_(other.leaf_count_.exchange(0)),
-      height_(other.height_.exchange(0)),
-      read_restarts_(other.read_restarts_.load(std::memory_order_relaxed)),
-      write_restarts_(other.write_restarts_.load(std::memory_order_relaxed)) {}
+      entry_count_(std::exchange(other.entry_count_, 0)),
+      leaf_count_(std::exchange(other.leaf_count_, 0)),
+      height_(std::exchange(other.height_, 0)) {}
 
 BTreeIndex& BTreeIndex::operator=(BTreeIndex&& other) noexcept {
   if (this != &other) {
-    FreeTree(root_.load(std::memory_order_acquire));
-    root_.store(other.root_.exchange(nullptr, std::memory_order_acq_rel),
-                std::memory_order_release);
+    FreeTree(root_);
+    root_ = std::exchange(other.root_, nullptr);
     fanout_ = other.fanout_;
-    entry_count_.store(other.entry_count_.exchange(0));
-    leaf_count_.store(other.leaf_count_.exchange(0));
-    height_.store(other.height_.exchange(0));
-    read_restarts_.store(other.read_restarts_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    write_restarts_.store(
-        other.write_restarts_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
+    entry_count_ = std::exchange(other.entry_count_, 0);
+    leaf_count_ = std::exchange(other.leaf_count_, 0);
+    height_ = std::exchange(other.height_, 0);
   }
   return *this;
 }
@@ -115,65 +79,17 @@ BTreeIndex& BTreeIndex::operator=(BTreeIndex&& other) noexcept {
 void BTreeIndex::FreeTree(Node* node) {
   if (node == nullptr) return;
   if (!node->is_leaf) {
-    const int32_t count = node->count.load(std::memory_order_relaxed);
-    for (int32_t i = 0; i <= count; ++i) {
-      FreeTree(node->children[static_cast<size_t>(i)].load(
-          std::memory_order_relaxed));
-    }
+    for (int32_t i = 0; i <= node->count; ++i) FreeTree(node->children[i]);
   }
   Node::Free(node);
 }
 
-// ---------------------------------------------------------------------------
-// Version protocol.
-//
-// Writer: TryLock CASes the exact version observed by the caller to its
-// locked value, so a successful lock certifies the node is unchanged since
-// that observation. Mutations use release stores; UnlockNode release-stores
-// the next even version.
-//
-// Reader: StableVersion acquire-loads (spinning out writer critical
-// sections), payload loads are relaxed, and ValidateVersion issues an
-// acquire fence before re-reading the version. If any payload load observed
-// a concurrent writer's (release) store, the fence forces the version
-// re-read to observe that writer's lock word too, so validation fails and
-// the reader restarts — a reader can only accept a fully-consistent
-// snapshot.
-// ---------------------------------------------------------------------------
-
-uint64_t BTreeIndex::StableVersion(const Node* node) {
-  uint64_t v = node->version.load(std::memory_order_acquire);
-  while ((v & kLockBit) != 0) {
-    CpuRelax();
-    v = node->version.load(std::memory_order_acquire);
-  }
-  return v;
-}
-
-bool BTreeIndex::ValidateVersion(const Node* node, uint64_t version) {
-  std::atomic_thread_fence(std::memory_order_acquire);
-  return node->version.load(std::memory_order_relaxed) == version;
-}
-
-bool BTreeIndex::TryLock(Node* node, uint64_t version) {
-  uint64_t expected = version;
-  return node->version.compare_exchange_strong(expected, version | kLockBit,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_relaxed);
-}
-
-void BTreeIndex::UnlockNode(Node* node) {
-  const uint64_t locked = node->version.load(std::memory_order_relaxed);
-  node->version.store(locked + 1, std::memory_order_release);
-}
-
-size_t BTreeIndex::LowerBoundKeys(const Node& node, int64_t key,
-                                  int32_t count) {
+size_t BTreeIndex::LowerBoundKeys(const Node& node, int64_t key) {
   size_t lo = 0;
-  size_t hi = static_cast<size_t>(count);
+  size_t hi = static_cast<size_t>(node.count);
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (node.keys[mid].load(std::memory_order_relaxed) < key) {
+    if (node.keys[mid] < key) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -182,13 +98,12 @@ size_t BTreeIndex::LowerBoundKeys(const Node& node, int64_t key,
   return lo;
 }
 
-size_t BTreeIndex::UpperBoundKeys(const Node& node, int64_t key,
-                                  int32_t count) {
+size_t BTreeIndex::UpperBoundKeys(const Node& node, int64_t key) {
   size_t lo = 0;
-  size_t hi = static_cast<size_t>(count);
+  size_t hi = static_cast<size_t>(node.count);
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (node.keys[mid].load(std::memory_order_relaxed) <= key) {
+    if (node.keys[mid] <= key) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -201,274 +116,95 @@ size_t BTreeIndex::UpperBoundKeys(const Node& node, int64_t key,
 // Writes.
 // ---------------------------------------------------------------------------
 
-void BTreeIndex::SplitChildLocked(Node* parent, size_t i, Node* child) {
-  const int32_t ccount = child->count.load(std::memory_order_relaxed);
-  const int32_t mid = ccount / 2;
-  const int64_t separator =
-      child->keys[static_cast<size_t>(mid)].load(std::memory_order_relaxed);
-  Node* right = Node::Make(child->is_leaf, fanout_, kInitialVersion);
+void BTreeIndex::SplitChild(Node* parent, size_t i, Node* child) {
+  const int32_t mid = child->count / 2;
+  const int64_t separator = child->keys[mid];
+  Node* right = Node::Make(child->is_leaf, fanout_);
   if (child->is_leaf) {
-    for (int32_t j = mid; j < ccount; ++j) {
-      const size_t src = static_cast<size_t>(j);
-      const size_t dst = static_cast<size_t>(j - mid);
-      right->keys[dst].store(child->keys[src].load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-      right->values[dst].store(
-          child->values[src].load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    }
-    right->count.store(ccount - mid, std::memory_order_relaxed);
-    right->next_leaf.store(child->next_leaf.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-    // Link the new right sibling into the chain before shrinking `child`,
-    // so a chain-walking reader always finds every key at least once (its
-    // validation of `child` fails anyway while we hold the lock).
-    child->next_leaf.store(right, std::memory_order_release);
-    child->count.store(mid, std::memory_order_release);
-    leaf_count_.fetch_add(1, std::memory_order_relaxed);
+    right->count = child->count - mid;
+    std::copy_n(child->keys + mid, right->count, right->keys);
+    std::copy_n(child->values + mid, right->count, right->values);
+    right->next_leaf = child->next_leaf;
+    child->next_leaf = right;
+    ++leaf_count_;
   } else {
-    for (int32_t j = mid + 1; j < ccount; ++j) {
-      right->keys[static_cast<size_t>(j - mid - 1)].store(
-          child->keys[static_cast<size_t>(j)].load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    }
-    for (int32_t j = mid + 1; j <= ccount; ++j) {
-      right->children[static_cast<size_t>(j - mid - 1)].store(
-          child->children[static_cast<size_t>(j)].load(
-              std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    }
-    right->count.store(ccount - mid - 1, std::memory_order_relaxed);
-    child->count.store(mid, std::memory_order_release);
+    // The separator moves up: it is in neither half.
+    right->count = child->count - mid - 1;
+    std::copy_n(child->keys + mid + 1, right->count, right->keys);
+    std::copy_n(child->children + mid + 1, right->count + 1, right->children);
   }
+  child->count = mid;
   // Shift the parent's tail right by one and splice in separator + right.
-  const int32_t pcount = parent->count.load(std::memory_order_relaxed);
-  for (int32_t j = pcount; j > static_cast<int32_t>(i); --j) {
-    parent->keys[static_cast<size_t>(j)].store(
-        parent->keys[static_cast<size_t>(j - 1)].load(
-            std::memory_order_relaxed),
-        std::memory_order_release);
-  }
-  for (int32_t j = pcount + 1; j > static_cast<int32_t>(i) + 1; --j) {
-    parent->children[static_cast<size_t>(j)].store(
-        parent->children[static_cast<size_t>(j - 1)].load(
-            std::memory_order_relaxed),
-        std::memory_order_release);
-  }
-  parent->keys[i].store(separator, std::memory_order_release);
-  parent->children[i + 1].store(right, std::memory_order_release);
-  parent->count.store(pcount + 1, std::memory_order_release);
-}
-
-void BTreeIndex::InsertIntoLeafLocked(Node* leaf, int64_t key, RowId row) {
-  const int32_t count = leaf->count.load(std::memory_order_relaxed);
-  const size_t pos = UpperBoundKeys(*leaf, key, count);
-  for (int32_t j = count; j > static_cast<int32_t>(pos); --j) {
-    leaf->keys[static_cast<size_t>(j)].store(
-        leaf->keys[static_cast<size_t>(j - 1)].load(std::memory_order_relaxed),
-        std::memory_order_release);
-    leaf->values[static_cast<size_t>(j)].store(
-        leaf->values[static_cast<size_t>(j - 1)].load(
-            std::memory_order_relaxed),
-        std::memory_order_release);
-  }
-  leaf->keys[pos].store(key, std::memory_order_release);
-  leaf->values[pos].store(row, std::memory_order_release);
-  leaf->count.store(count + 1, std::memory_order_release);
-}
-
-bool BTreeIndex::InsertIntoEmpty(int64_t key, RowId row) {
-  // Publish the root locked: counters and the first entry are finalized
-  // before any other thread can read or lock it.
-  Node* leaf = Node::Make(/*leaf=*/true, fanout_, kInitialVersion | kLockBit);
-  leaf->keys[0].store(key, std::memory_order_relaxed);
-  leaf->values[0].store(row, std::memory_order_relaxed);
-  leaf->count.store(1, std::memory_order_relaxed);
-  Node* expected = nullptr;
-  if (!root_.compare_exchange_strong(expected, leaf,
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_relaxed)) {
-    Node::Free(leaf);  // another thread created the root first
-    return false;
-  }
-  leaf_count_.store(1, std::memory_order_release);
-  height_.store(1, std::memory_order_release);
-  entry_count_.fetch_add(1, std::memory_order_release);
-  UnlockNode(leaf);
-  return true;
-}
-
-void BTreeIndex::SplitRoot(Node* root, uint64_t version) {
-  if (!TryLock(root, version)) return;
-  if (root_.load(std::memory_order_acquire) != root) {
-    UnlockNode(root);  // superseded while we were locking
-    return;
-  }
-  // With the current root locked no other writer can split it or publish a
-  // new root, so the swap below is unique.
-  Node* new_root = Node::Make(/*leaf=*/false, fanout_,
-                            kInitialVersion | kLockBit);
-  new_root->children[0].store(root, std::memory_order_relaxed);
-  SplitChildLocked(new_root, 0, root);
-  root_.store(new_root, std::memory_order_release);
-  height_.fetch_add(1, std::memory_order_release);
-  UnlockNode(new_root);
-  // Readers that entered through the old root restart on its bumped
-  // version; stale traversals that validated before the bump stay correct
-  // via the leaf chain.
-  UnlockNode(root);
-}
-
-bool BTreeIndex::InsertAttempt(int64_t key, RowId row, bool* contended) {
-  *contended = true;
-  Node* root = root_.load(std::memory_order_acquire);
-  if (root == nullptr) return InsertIntoEmpty(key, row);
-  uint64_t v = StableVersion(root);
-  if (root_.load(std::memory_order_acquire) != root) return false;
-  {
-    const int32_t rcount = root->count.load(std::memory_order_relaxed);
-    if (!ValidateVersion(root, v)) return false;
-    if (rcount >= fanout_) {
-      SplitRoot(root, v);
-      // Planned restructuring, not a lost race: retry from the (possibly
-      // new) root without charging the contention counter.
-      *contended = false;
-      return false;
-    }
-  }
-  // Loop invariant: `node` had count < fanout_ at version `v`, so a
-  // successful TryLock(node, v) certifies room for one more separator or
-  // entry (the preemptive-split discipline of the serial algorithm).
-  Node* node = root;
-  while (!node->is_leaf) {
-    const int32_t count = node->count.load(std::memory_order_relaxed);
-    size_t i = UpperBoundKeys(*node, key, count);
-    Node* child =
-        node->children[i].load(std::memory_order_relaxed);
-    if (!ValidateVersion(node, v)) return false;
-    if (child == nullptr) return false;  // torn read; restart
-    uint64_t cv = StableVersion(child);
-    if (!ValidateVersion(node, v)) return false;
-    const int32_t ccount = child->count.load(std::memory_order_relaxed);
-    if (!ValidateVersion(child, cv)) return false;
-    if (ccount >= fanout_) {
-      if (!TryLock(node, v)) return false;
-      if (!TryLock(child, cv)) {
-        UnlockNode(node);
-        return false;
-      }
-      SplitChildLocked(node, i, child);
-      UnlockNode(child);
-      // Re-aim the descent at whichever half owns `key`. While we still
-      // hold the parent lock neither half can be touched by other
-      // writers (they would have to re-descend through the locked
-      // parent, or re-lock the bumped child version), so its fresh
-      // version certifies a non-full node.
-      if (key >= node->keys[i].load(std::memory_order_relaxed)) ++i;
-      Node* next = node->children[i].load(std::memory_order_relaxed);
-      const uint64_t nv = StableVersion(next);
-      UnlockNode(node);
-      node = next;
-      v = nv;
-      continue;
-    }
-    node = child;
-    v = cv;
-  }
-  if (!TryLock(node, v)) return false;
-  InsertIntoLeafLocked(node, key, row);
-  UnlockNode(node);
-  entry_count_.fetch_add(1, std::memory_order_release);
-  return true;
+  const int32_t pcount = parent->count;
+  std::copy_backward(parent->keys + i, parent->keys + pcount,
+                     parent->keys + pcount + 1);
+  std::copy_backward(parent->children + i + 1, parent->children + pcount + 1,
+                     parent->children + pcount + 2);
+  parent->keys[i] = separator;
+  parent->children[i + 1] = right;
+  parent->count = pcount + 1;
 }
 
 void BTreeIndex::Insert(int64_t key, RowId row) {
-  bool contended = false;
-  while (!InsertAttempt(key, row, &contended)) {
-    if (contended) write_restarts_.fetch_add(1, std::memory_order_relaxed);
-    CpuRelax();
+  if (root_ == nullptr) {
+    root_ = Node::Make(/*leaf=*/true, fanout_);
+    leaf_count_ = 1;
+    height_ = 1;
   }
-}
-
-bool BTreeIndex::EraseAttempt(int64_t key, RowId row, bool* erased) {
-  Node* node = root_.load(std::memory_order_acquire);
-  if (node == nullptr) {
-    *erased = false;
-    return true;
+  // Preemptive split: every full node on the way down is split before the
+  // descent enters it, so a parent always has room for a separator.
+  if (root_->count >= fanout_) {
+    Node* new_root = Node::Make(/*leaf=*/false, fanout_);
+    new_root->children[0] = root_;
+    SplitChild(new_root, 0, root_);
+    root_ = new_root;
+    ++height_;
   }
-  uint64_t v = StableVersion(node);
-  if (root_.load(std::memory_order_acquire) != node) return false;
-  // Lower-bound descent to the first possible occurrence (duplicates can
-  // straddle separators, exactly as in ScanAttempt).
+  Node* node = root_;
   while (!node->is_leaf) {
-    const int32_t count = node->count.load(std::memory_order_relaxed);
-    const size_t i = LowerBoundKeys(*node, key, count);
-    Node* child = node->children[i].load(std::memory_order_relaxed);
-    if (!ValidateVersion(node, v)) return false;
-    if (child == nullptr) return false;  // torn read; restart
-    const uint64_t cv = StableVersion(child);
-    if (!ValidateVersion(node, v)) return false;
-    node = child;
-    v = cv;
+    size_t i = UpperBoundKeys(*node, key);
+    if (node->children[i]->count >= fanout_) {
+      SplitChild(node, i, node->children[i]);
+      // Re-aim at whichever half owns `key`.
+      if (key >= node->keys[i]) ++i;
+    }
+    node = node->children[i];
   }
-  // Walk the leaf chain for the (key, row) pair; duplicate keys may span
-  // several leaves, and emptied leaves (count == 0) are skipped through
-  // their next pointer.
-  while (true) {
-    const int32_t count = node->count.load(std::memory_order_relaxed);
-    size_t pos = static_cast<size_t>(count);
-    bool past_key = false;
-    for (size_t i = LowerBoundKeys(*node, key, count);
-         i < static_cast<size_t>(count); ++i) {
-      if (node->keys[i].load(std::memory_order_relaxed) > key) {
-        past_key = true;
-        break;
-      }
-      if (node->values[i].load(std::memory_order_relaxed) == row) {
-        pos = i;
-        break;
-      }
-    }
-    Node* next = node->next_leaf.load(std::memory_order_relaxed);
-    if (pos < static_cast<size_t>(count)) {
-      // Found it. A successful TryLock at the version the position was
-      // read under certifies the leaf is unchanged, so `pos` is still the
-      // entry to remove; shift the tail left in place. The leaf is never
-      // unlinked even when it empties — readers traverse it harmlessly.
-      if (!TryLock(node, v)) return false;
-      for (size_t i = pos + 1; i < static_cast<size_t>(count); ++i) {
-        node->keys[i - 1].store(
-            node->keys[i].load(std::memory_order_relaxed),
-            std::memory_order_release);
-        node->values[i - 1].store(
-            node->values[i].load(std::memory_order_relaxed),
-            std::memory_order_release);
-      }
-      node->count.store(count - 1, std::memory_order_release);
-      UnlockNode(node);
-      entry_count_.fetch_sub(1, std::memory_order_release);
-      *erased = true;
-      return true;
-    }
-    if (!ValidateVersion(node, v)) return false;
-    if (past_key || next == nullptr) {
-      *erased = false;
-      return true;
-    }
-    const uint64_t nv = StableVersion(next);
-    if (!ValidateVersion(node, v)) return false;
-    node = next;
-    v = nv;
-  }
+  const size_t pos = UpperBoundKeys(*node, key);
+  const int32_t count = node->count;
+  std::copy_backward(node->keys + pos, node->keys + count,
+                     node->keys + count + 1);
+  std::copy_backward(node->values + pos, node->values + count,
+                     node->values + count + 1);
+  node->keys[pos] = key;
+  node->values[pos] = row;
+  node->count = count + 1;
+  ++entry_count_;
 }
 
 bool BTreeIndex::Erase(int64_t key, RowId row) {
-  bool erased = false;
-  while (!EraseAttempt(key, row, &erased)) {
-    write_restarts_.fetch_add(1, std::memory_order_relaxed);
-    CpuRelax();
+  if (root_ == nullptr) return false;
+  // Lower-bound descent to the first possible occurrence (duplicates can
+  // straddle separators, exactly as in RangeScan).
+  Node* node = root_;
+  while (!node->is_leaf) node = node->children[LowerBoundKeys(*node, key)];
+  // Walk the leaf chain for the (key, row) pair; duplicate keys may span
+  // several leaves, and emptied leaves are passed through.
+  for (; node != nullptr; node = node->next_leaf) {
+    const size_t count = static_cast<size_t>(node->count);
+    for (size_t i = LowerBoundKeys(*node, key); i < count; ++i) {
+      if (node->keys[i] > key) return false;
+      if (node->values[i] == row) {
+        std::copy(node->keys + i + 1, node->keys + count, node->keys + i);
+        std::copy(node->values + i + 1, node->values + count,
+                  node->values + i);
+        --node->count;
+        --entry_count_;
+        return true;
+      }
+    }
   }
-  return erased;
+  return false;
 }
 
 namespace {
@@ -574,30 +310,24 @@ class RadixDigits {
 
 template <typename KeyAt, typename RowAt>
 void BTreeIndex::BuildFromSorted(size_t n, KeyAt key_at, RowAt row_at) {
-  // The structure is private until the root is published below, so plain
-  // relaxed stores suffice while building. Leaves are packed full from the
-  // sorted sequence, in order.
+  // Leaves are packed full from the sorted sequence, in order.
   std::vector<Node*> level;
   const size_t per_leaf = static_cast<size_t>(fanout_);
   level.reserve((n + per_leaf - 1) / per_leaf);
   for (size_t start = 0; start < n; start += per_leaf) {
     const size_t end = std::min(n, start + per_leaf);
-    Node* leaf = Node::Make(/*leaf=*/true, fanout_, kInitialVersion);
+    Node* leaf = Node::Make(/*leaf=*/true, fanout_);
     for (size_t i = start; i < end; ++i) {
-      leaf->keys[i - start].store(key_at(i), std::memory_order_relaxed);
-      leaf->values[i - start].store(row_at(i), std::memory_order_relaxed);
+      leaf->keys[i - start] = key_at(i);
+      leaf->values[i - start] = row_at(i);
     }
-    leaf->count.store(static_cast<int32_t>(end - start),
-                      std::memory_order_relaxed);
-    if (!level.empty()) {
-      level.back()->next_leaf.store(leaf, std::memory_order_relaxed);
-    }
+    leaf->count = static_cast<int32_t>(end - start);
+    if (!level.empty()) level.back()->next_leaf = leaf;
     level.push_back(leaf);
   }
-  leaf_count_.store(static_cast<int64_t>(level.size()),
-                    std::memory_order_relaxed);
-  entry_count_.store(static_cast<int64_t>(n), std::memory_order_relaxed);
-  int32_t height = 1;
+  leaf_count_ = static_cast<int64_t>(level.size());
+  entry_count_ = static_cast<int64_t>(n);
+  height_ = 1;
 
   // Build internal levels bottom-up.
   while (level.size() > 1) {
@@ -605,34 +335,27 @@ void BTreeIndex::BuildFromSorted(size_t n, KeyAt key_at, RowAt row_at) {
     const size_t per_node = static_cast<size_t>(fanout_);
     for (size_t start = 0; start < level.size(); start += per_node + 1) {
       const size_t end = std::min(level.size(), start + per_node + 1);
-      Node* parent = Node::Make(/*leaf=*/false, fanout_, kInitialVersion);
+      Node* parent = Node::Make(/*leaf=*/false, fanout_);
       for (size_t i = start; i < end; ++i) {
         if (i > start) {
           // Separator: smallest key reachable in child i's subtree.
           const Node* c = level[i];
-          while (!c->is_leaf) {
-            c = c->children[0].load(std::memory_order_relaxed);
-          }
-          parent->keys[i - start - 1].store(
-              c->keys[0].load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
+          while (!c->is_leaf) c = c->children[0];
+          parent->keys[i - start - 1] = c->keys[0];
         }
-        parent->children[i - start].store(level[i],
-                                          std::memory_order_relaxed);
+        parent->children[i - start] = level[i];
       }
-      parent->count.store(static_cast<int32_t>(end - start - 1),
-                          std::memory_order_relaxed);
+      parent->count = static_cast<int32_t>(end - start - 1);
       parents.push_back(parent);
     }
     level = std::move(parents);
-    ++height;
+    ++height_;
   }
-  height_.store(height, std::memory_order_relaxed);
-  root_.store(level.front(), std::memory_order_release);
+  root_ = level.front();
 }
 
 Status BTreeIndex::BulkLoad(std::vector<std::pair<int64_t, RowId>> entries) {
-  if (root_.load(std::memory_order_acquire) != nullptr) {
+  if (root_ != nullptr) {
     return Status::FailedPrecondition("BulkLoad requires an empty tree");
   }
   if (entries.empty()) return Status::OK();
@@ -679,7 +402,7 @@ Status BTreeIndex::BulkLoad(std::vector<std::pair<int64_t, RowId>> entries) {
 
 Status BTreeIndex::BulkLoadColumn(const std::vector<int64_t>& keys,
                                   const std::vector<uint8_t>& skip) {
-  if (root_.load(std::memory_order_acquire) != nullptr) {
+  if (root_ != nullptr) {
     return Status::FailedPrecondition("BulkLoad requires an empty tree");
   }
   const auto kept = [&skip](size_t row) {
@@ -730,71 +453,26 @@ Status BTreeIndex::BulkLoadColumn(const std::vector<int64_t>& keys,
 // Reads.
 // ---------------------------------------------------------------------------
 
-bool BTreeIndex::ScanAttempt(int64_t lo, int64_t hi, std::vector<RowId>* out,
-                             int64_t* leaves_touched) const {
-  Node* node = root_.load(std::memory_order_acquire);
-  if (node == nullptr) return true;
-  uint64_t v = StableVersion(node);
-  while (!node->is_leaf) {
-    // lower_bound, not upper_bound: with duplicate keys the separator value
-    // can also appear in the child to its left (splits cut runs of equal
-    // keys), so the search for the *first* occurrence must descend left of
-    // any separator equal to the key. The leaf chain covers the rest.
-    const int32_t count = node->count.load(std::memory_order_relaxed);
-    const size_t i = LowerBoundKeys(*node, lo, count);
-    Node* child = node->children[i].load(std::memory_order_relaxed);
-    if (!ValidateVersion(node, v)) return false;
-    if (child == nullptr) return false;  // torn read; restart
-    const uint64_t cv = StableVersion(child);
-    if (!ValidateVersion(node, v)) return false;
-    node = child;
-    v = cv;
-  }
-  while (true) {
-    const int32_t count = node->count.load(std::memory_order_relaxed);
-    const size_t out_mark = out->size();
-    const size_t start = LowerBoundKeys(*node, lo, count);
-    bool past_end = false;
-    for (size_t i = start; i < static_cast<size_t>(count); ++i) {
-      const int64_t key = node->keys[i].load(std::memory_order_relaxed);
-      if (key > hi) {
-        past_end = true;
-        break;
-      }
-      out->push_back(node->values[i].load(std::memory_order_relaxed));
-    }
-    const int64_t back_key =
-        count > 0
-            ? node->keys[static_cast<size_t>(count - 1)].load(
-                  std::memory_order_relaxed)
-            : 0;
-    Node* next = node->next_leaf.load(std::memory_order_relaxed);
-    if (!ValidateVersion(node, v)) {
-      out->resize(out_mark);
-      return false;
-    }
-    ++*leaves_touched;
-    if (past_end) return true;
-    if (count > 0 && back_key > hi) return true;
-    if (next == nullptr) return true;
-    const uint64_t nv = StableVersion(next);
-    if (!ValidateVersion(node, v)) return false;
-    node = next;
-    v = nv;
-  }
-}
-
 int64_t BTreeIndex::RangeScan(int64_t lo, int64_t hi,
                               std::vector<RowId>* out) const {
-  if (lo > hi) return 0;
-  const size_t base = out->size();
-  while (true) {
-    out->resize(base);
-    int64_t leaves_touched = 0;
-    if (ScanAttempt(lo, hi, out, &leaves_touched)) return leaves_touched;
-    read_restarts_.fetch_add(1, std::memory_order_relaxed);
-    CpuRelax();
+  if (lo > hi || root_ == nullptr) return 0;
+  // lower_bound, not upper_bound: with duplicate keys the separator value
+  // can also appear in the child to its left (splits cut runs of equal
+  // keys), so the search for the *first* occurrence must descend left of
+  // any separator equal to the key. The leaf chain covers the rest.
+  const Node* node = root_;
+  while (!node->is_leaf) node = node->children[LowerBoundKeys(*node, lo)];
+  int64_t leaves_touched = 0;
+  for (; node != nullptr; node = node->next_leaf) {
+    ++leaves_touched;
+    const size_t count = static_cast<size_t>(node->count);
+    const size_t start = LowerBoundKeys(*node, lo);
+    size_t end = start;
+    while (end < count && node->keys[end] <= hi) ++end;
+    out->insert(out->end(), node->values + start, node->values + end);
+    if (end < count) break;  // a key above hi: no later leaf can match
   }
+  return leaves_touched;
 }
 
 int64_t BTreeIndex::Lookup(int64_t key, std::vector<RowId>* out) const {
@@ -807,11 +485,10 @@ int64_t BTreeIndex::Lookup(int64_t key, std::vector<RowId>* out) const {
 
 Status BTreeIndex::CheckNode(const Node* node, int depth, int64_t lo,
                              int64_t hi, int leaf_depth) const {
-  const int32_t count = node->count.load(std::memory_order_acquire);
+  const int32_t count = node->count;
   int64_t prev = INT64_MIN;
   for (int32_t i = 0; i < count; ++i) {
-    const int64_t k =
-        node->keys[static_cast<size_t>(i)].load(std::memory_order_relaxed);
+    const int64_t k = node->keys[i];
     if (k < prev) return Status::Internal("keys not sorted");
     prev = k;
     if (k < lo || k > hi) return Status::Internal("key outside bounds");
@@ -824,19 +501,12 @@ Status BTreeIndex::CheckNode(const Node* node, int depth, int64_t lo,
     return Status::OK();
   }
   for (int32_t i = 0; i <= count; ++i) {
-    const Node* child = node->children[static_cast<size_t>(i)].load(
-        std::memory_order_relaxed);
+    const Node* child = node->children[i];
     if (child == nullptr) return Status::Internal("missing child");
-    const int64_t child_lo =
-        (i == 0) ? lo
-                 : node->keys[static_cast<size_t>(i - 1)].load(
-                       std::memory_order_relaxed);
+    const int64_t child_lo = (i == 0) ? lo : node->keys[i - 1];
     // Duplicates may straddle a separator, so the left child's bound is
     // inclusive of the separator value.
-    const int64_t child_hi =
-        (i == count) ? hi
-                     : node->keys[static_cast<size_t>(i)].load(
-                           std::memory_order_relaxed);
+    const int64_t child_hi = (i == count) ? hi : node->keys[i];
     Status st = CheckNode(child, depth + 1, child_lo,
                           std::max(child_lo, child_hi), leaf_depth);
     if (!st.ok()) return st;
@@ -845,40 +515,35 @@ Status BTreeIndex::CheckNode(const Node* node, int depth, int64_t lo,
 }
 
 Status BTreeIndex::CheckInvariants() const {
-  const Node* root = root_.load(std::memory_order_acquire);
-  if (root == nullptr) {
-    if (entry_count() != 0 || leaf_count() != 0) {
+  if (root_ == nullptr) {
+    if (entry_count_ != 0 || leaf_count_ != 0) {
       return Status::Internal("empty tree with nonzero counts");
     }
     return Status::OK();
   }
   // Leaf depth = height_ - 1 when root counts as depth 0.
-  Status st = CheckNode(root, 0, INT64_MIN, INT64_MAX, height() - 1);
+  Status st = CheckNode(root_, 0, INT64_MIN, INT64_MAX, height_ - 1);
   if (!st.ok()) return st;
   // Walk the leaf chain: total entries and leaf count must match, and the
   // concatenated key sequence must be globally sorted.
-  const Node* leaf = root;
-  while (!leaf->is_leaf) {
-    leaf = leaf->children[0].load(std::memory_order_relaxed);
-  }
+  const Node* leaf = root_;
+  while (!leaf->is_leaf) leaf = leaf->children[0];
   int64_t entries = 0, leaves = 0;
   int64_t prev = INT64_MIN;
-  while (leaf != nullptr) {
+  for (; leaf != nullptr; leaf = leaf->next_leaf) {
     ++leaves;
-    const int32_t count = leaf->count.load(std::memory_order_acquire);
-    for (int32_t i = 0; i < count; ++i) {
-      const int64_t k =
-          leaf->keys[static_cast<size_t>(i)].load(std::memory_order_relaxed);
-      if (k < prev) return Status::Internal("leaf chain not sorted");
-      prev = k;
+    for (int32_t i = 0; i < leaf->count; ++i) {
+      if (leaf->keys[i] < prev) {
+        return Status::Internal("leaf chain not sorted");
+      }
+      prev = leaf->keys[i];
       ++entries;
     }
-    leaf = leaf->next_leaf.load(std::memory_order_relaxed);
   }
-  if (entries != entry_count()) {
+  if (entries != entry_count_) {
     return Status::Internal("entry count mismatch");
   }
-  if (leaves != leaf_count()) return Status::Internal("leaf count mismatch");
+  if (leaves != leaf_count_) return Status::Internal("leaf count mismatch");
   return Status::OK();
 }
 

@@ -114,10 +114,10 @@ class Database {
 
   /// Overwrites the (column, value) `sets` on each row of `rows`, erasing
   /// and re-inserting the entry of every built index keyed on an assigned
-  /// column. Rows must be live. The cell stores are unsynchronised, so no
-  /// read of this database may be in flight during the call, whatever the
-  /// OLC trees allow; ServeWorkload's write fence guarantees this for
-  /// served writes.
+  /// column. Rows must be live. The cell and tree stores are
+  /// unsynchronised, so no read of this database may be in flight during
+  /// the call; ServeWorkload's write fence guarantees this for served
+  /// writes.
   COLT_OWNER_ONLY Result<WriteOutcome> UpdateRows(
       TableId table, const std::vector<RowId>& rows,
       const std::vector<std::pair<ColumnId, int64_t>>& sets);
@@ -137,7 +137,8 @@ class Database {
 
   /// The currently-published index snapshot; never null. The returned
   /// pointer (and every tree it references) stays valid for as long as
-  /// the caller holds an `EpochGuard` taken before this load.
+  /// the caller holds an `EpochGuard` or an `EpochPin` taken before this
+  /// load (the serve loop holds one pin per in-flight segment).
   COLT_WORKER_SAFE const IndexSnapshot* index_snapshot() const {
     return published_snapshot_.load(std::memory_order_acquire);
   }

@@ -701,5 +701,103 @@ TEST(BTree, RangeScanReportsLeavesTouched) {
   EXPECT_EQ(tree.Lookup(42, &out), 1);
 }
 
+/// Folds `value` into the FNV-1a-style hash `*hash`, one word at a time.
+void HashWord(uint64_t* hash, int64_t value) {
+  *hash = (*hash ^ static_cast<uint64_t>(value)) * 0x100000001b3ULL;
+}
+
+/// A key for the shape streams: mostly from [-300, 300), so that runs of
+/// equal keys straddle splits, and sometimes INT64_MIN, INT64_MAX or one
+/// of their neighbours.
+int64_t ShapeKey(Rng* rng) {
+  static constexpr int64_t kExtremes[] = {INT64_MIN, INT64_MIN + 1,
+                                          INT64_MAX - 1, INT64_MAX};
+  if (rng->NextBool(0.04)) return kExtremes[rng->NextBelow(4)];
+  return static_cast<int64_t>(rng->NextBelow(600)) - 300;
+}
+
+TEST(BTree, InsertEraseShapeIsPinned) {
+  // The executor charges pages by leaves touched, and leaf counts,
+  // heights and leaves touched depend on where Insert splits and how
+  // Erase and RangeScan descend. The other tests compare contents only,
+  // so this one hashes the shape of seeded insert/erase streams and of
+  // the scans over them: moving a split point or a scan's last leaf
+  // changes a fanout's hash.
+  struct Pin {
+    int32_t fanout;
+    uint64_t hash;
+  };
+  const Pin pins[] = {{4, 0xa09f1fd54374358bULL},
+                      {5, 0x5b9f595a4840401fULL},
+                      {16, 0xe41763e8b607f4eeULL},
+                      {128, 0x1ab1f5df1ec236c2ULL}};
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(::testing::Message() << "fanout " << pin.fanout);
+    BTreeIndex tree(pin.fanout);
+    std::multimap<int64_t, RowId> reference;
+    std::vector<std::pair<int64_t, RowId>> live;
+    Rng rng(static_cast<uint64_t>(pin.fanout) * 1'000'003);
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (int op = 0; op < 20'000; ++op) {
+      if (!live.empty() && rng.NextBool(0.4)) {
+        if (rng.NextBool(0.5)) {
+          const size_t i = rng.NextBelow(live.size());
+          const auto [key, row] = live[i];
+          live[i] = live.back();
+          live.pop_back();
+          EXPECT_TRUE(tree.Erase(key, row));
+          auto it = reference.lower_bound(key);
+          while (it->second != row) ++it;
+          reference.erase(it);
+        } else {
+          EXPECT_FALSE(tree.Erase(ShapeKey(&rng), /*row=*/-1 - op));
+        }
+      } else {
+        const int64_t key = ShapeKey(&rng);
+        tree.Insert(key, op);
+        live.emplace_back(key, op);
+        reference.emplace(key, op);
+      }
+      if (op % 500 == 499) {
+        HashWord(&hash, tree.leaf_count());
+        HashWord(&hash, tree.height());
+        HashWord(&hash, tree.entry_count());
+      }
+    }
+    ASSERT_TRUE(tree.CheckInvariants().ok());
+    ASSERT_EQ(tree.entry_count(), static_cast<int64_t>(reference.size()));
+
+    std::vector<std::pair<int64_t, int64_t>> ranges = {
+        {INT64_MIN, INT64_MIN},     {INT64_MAX, INT64_MAX},
+        {INT64_MIN, INT64_MAX},     {INT64_MAX, INT64_MIN},
+        {INT64_MIN + 1, INT64_MIN}, {INT64_MAX, INT64_MAX - 1}};
+    while (ranges.size() < 200) {
+      const int64_t a = ShapeKey(&rng);
+      const int64_t b = ShapeKey(&rng);
+      ranges.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    std::vector<RowId> rows;
+    for (const auto& [lo, hi] : ranges) {
+      rows.clear();
+      const int64_t leaves = tree.RangeScan(lo, hi, &rows);
+      // An insert lands after the equal keys already present, so a scan
+      // yields rows in (key, insertion) order: the multimap's order.
+      std::vector<RowId> expected;
+      if (lo > hi) {
+        EXPECT_EQ(leaves, 0) << "range [" << lo << ", " << hi << "]";
+      } else {
+        for (auto it = reference.lower_bound(lo);
+             it != reference.end() && it->first <= hi; ++it) {
+          expected.push_back(it->second);
+        }
+      }
+      EXPECT_EQ(rows, expected) << "range [" << lo << ", " << hi << "]";
+      HashWord(&hash, leaves);
+      for (RowId row : rows) HashWord(&hash, row);
+    }
+    EXPECT_EQ(hash, pin.hash) << std::hex << "hash 0x" << hash;
+  }
+}
+
 }  // namespace
 }  // namespace colt
